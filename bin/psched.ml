@@ -19,7 +19,7 @@ module Service = Speedscale_service.Service
 module Checkpoint = Speedscale_service.Checkpoint
 
 (* ------------------------------------------------------------------ *)
-(* Shared arguments                                                     *)
+(* Shared arguments and errors                                          *)
 (* ------------------------------------------------------------------ *)
 
 let instance_arg =
@@ -46,70 +46,88 @@ let algorithm_conv =
   let print ppf a = Format.pp_print_string ppf a.Driver.name in
   Arg.conv (parse, print)
 
+(* Every user-facing failure goes through here: a one-line diagnostic on
+   stderr (with the input line number whenever one is known) and exit 2
+   — the same discipline as bench-diff, never an uncaught exception
+   with a backtrace. *)
+let die cmd fmt =
+  Fmt.kstr
+    (fun msg ->
+      Printf.eprintf "psched %s: %s\n" cmd msg;
+      exit 2)
+    fmt
+
+(* Instance files are user input as much as streams are: a malformed
+   one is a diagnostic, not an internal error. *)
+let load_instance cmd file =
+  match Io.load file with
+  | inst -> inst
+  | exception (Failure m | Invalid_argument m | Sys_error m) ->
+    die cmd "%s: %s" file m
+
+let require_applicable cmd (alg : Driver.algorithm) inst =
+  if not (alg.applicable inst) then
+    die cmd "%s is not applicable to this instance" alg.name
+
 (* ------------------------------------------------------------------ *)
-(* Decision records (shared by `run --decisions-only` and `stream`)     *)
+(* The decision fold (shared by `run --decisions-only` and `stream`)    *)
 (* ------------------------------------------------------------------ *)
 
-(* One canonical-JSON record per arrival.  The batch `run` fold and the
-   line-by-line `stream` front end both emit through here, so diffing
-   their outputs (the @stream-smoke alias) certifies that streaming an
-   instance reproduces the batch decisions byte for byte. *)
-let decision_record ~seq ~plan_before (d : Online.decision)
-    (plan : Schedule.t) =
-  let opt_float = function None -> Json.Null | Some f -> Json.Float f in
-  let n_slices = List.length plan.slices in
-  Json.Obj
-    [
-      ("seq", Json.Int seq);
-      ("job", Json.Int d.job_id);
-      ("accepted", Json.Bool d.accepted);
-      ("lambda", opt_float d.lambda);
-      ("planned_speed", opt_float d.planned_speed);
-      ("plan_slices", Json.Int n_slices);
-      ("plan_delta", Json.Int (n_slices - plan_before));
-      ("rejected", Json.Int (List.length plan.rejected));
-    ]
+(* One online engine folded over arrivals, printing one canonical-JSON
+   record per arrival.  The batch `run` and the line-by-line `stream`
+   both drive this fold, so diffing their outputs (the @stream-smoke
+   alias) certifies that streaming an instance reproduces the batch
+   decisions byte for byte.  The summary comes from running counters:
+   nothing per arrival is retained. *)
+type fold = {
+  state : Online.t;
+  records : bool;  (** print the per-arrival records *)
+  mutable seq : int;
+  mutable accepted : int;
+  mutable plan_before : int;  (** plan size after the previous arrival *)
+}
 
-let summary_record ~algorithm ~power (decisions : Online.decision list)
-    (plan : Schedule.t) =
-  let accepted, rejected =
-    List.partition (fun (d : Online.decision) -> d.accepted) decisions
-  in
-  Json.Obj
-    [
-      ("summary", Json.Str algorithm);
-      ("jobs", Json.Int (List.length decisions));
-      ("accepted", Json.Int (List.length accepted));
-      ("rejected", Json.Int (List.length rejected));
-      ("plan_slices", Json.Int (List.length plan.slices));
-      ("energy", Json.Float (Schedule.energy power plan));
-    ]
+let fold_start ~records state =
+  { state; records; seq = 0; accepted = 0; plan_before = 0 }
 
-(* Fold an online engine over arrivals, printing one record per arrival. *)
-let print_decision_fold t ~emit jobs =
-  let seq = ref 0 and plan_before = ref 0 in
-  let decisions_rev = ref [] in
-  List.iter
-    (fun j ->
-      let d = Online.arrive t j in
-      let plan = Online.current_plan t in
-      emit (decision_record ~seq:!seq ~plan_before:!plan_before d plan);
-      plan_before := List.length plan.Schedule.slices;
-      incr seq;
-      decisions_rev := d :: !decisions_rev)
-    jobs;
-  List.rev !decisions_rev
+let opt_float = function None -> Json.Null | Some f -> Json.Float f
 
-let online_engine_of (alg : Driver.algorithm) =
-  match alg.engine with
-  | Some e -> e
-  | None ->
-    failwith
-      (Printf.sprintf
-         "%s is an offline algorithm; only online engines can stream \
-          (known: %s)"
-         alg.Driver.name
-         (String.concat ", " (List.map Online.name Online.all)))
+let fold_decision f (d : Online.decision) =
+  if d.accepted then f.accepted <- f.accepted + 1;
+  if f.records then begin
+    let plan = Online.current_plan f.state in
+    let n_slices = List.length plan.slices in
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("seq", Json.Int f.seq);
+              ("job", Json.Int d.job_id);
+              ("accepted", Json.Bool d.accepted);
+              ("lambda", opt_float d.lambda);
+              ("planned_speed", opt_float d.planned_speed);
+              ("plan_slices", Json.Int n_slices);
+              ("plan_delta", Json.Int (n_slices - f.plan_before));
+              ("rejected", Json.Int (List.length plan.rejected));
+            ]));
+    f.plan_before <- n_slices
+  end;
+  f.seq <- f.seq + 1
+
+let fold_summary f =
+  let plan = Online.finalize f.state in
+  let power = (Online.params_of f.state).power in
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          [
+            ("summary", Json.Str (Online.name (Online.engine_of f.state)));
+            ("jobs", Json.Int f.seq);
+            ("accepted", Json.Int f.accepted);
+            ("rejected", Json.Int (f.seq - f.accepted));
+            ("plan_slices", Json.Int (List.length plan.slices));
+            ("energy", Json.Float (Schedule.energy power plan));
+          ]))
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                             *)
@@ -147,7 +165,9 @@ let generate_cmd =
           ~sizes:(Uniform_size (0.3, 2.5))
           ~laxity:(0.4, 2.5)
           ~values:(Uniform_value (0.2, 20.0))
-      | other -> failwith (Printf.sprintf "unknown preset %S" other)
+      | other ->
+        die "generate" "unknown preset %S (known: datacenter, random, bkp)"
+          other
     in
     let text = Io.to_string inst in
     match out with
@@ -199,23 +219,25 @@ let run_cmd =
              algorithm.  Byte-compatible with `psched stream`.")
   in
   let run file algorithm show_schedule trace decisions_only =
-    let inst = Io.load file in
-    if not (algorithm.Driver.applicable inst) then
-      failwith
-        (Printf.sprintf "%s is not applicable to this instance"
-           algorithm.Driver.name);
+    let inst = load_instance "run" file in
+    require_applicable "run" algorithm inst;
     if decisions_only then begin
-      let e = online_engine_of algorithm in
-      let t = Online.start e (Online.params_of_instance inst) in
-      let decisions =
-        print_decision_fold t
-          ~emit:(fun r -> print_endline (Json.to_string r))
-          (Array.to_list inst.jobs)
+      let e =
+        match algorithm.engine with
+        | Some e -> e
+        | None ->
+          die "run"
+            "%s is an offline algorithm; only online engines can stream \
+             (known: %s)"
+            algorithm.name
+            (String.concat ", " (List.map Online.name Online.all))
       in
-      print_endline
-        (Json.to_string
-           (summary_record ~algorithm:(Online.name e) ~power:inst.power
-              decisions (Online.finalize t)))
+      let f =
+        fold_start ~records:true
+          (Online.start e (Online.params_of_instance inst))
+      in
+      Array.iter (fun j -> fold_decision f (Online.arrive f.state j)) inst.jobs;
+      fold_summary f
     end
     else begin
       let r = Driver.evaluate ~clock:Unix.gettimeofday algorithm inst in
@@ -245,32 +267,63 @@ let run_cmd =
 (* stream / serve                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Every user-facing failure of the streaming front ends goes through
-   here: a one-line diagnostic on stderr (with the input line number
-   whenever one is known) and exit 2 — the same discipline as
-   bench-diff, never an uncaught exception with a backtrace. *)
-let stream_die cmd fmt =
-  Fmt.kstr
-    (fun msg ->
-      Printf.eprintf "psched %s: %s\n" cmd msg;
-      exit 2)
-    fmt
+(* The streaming front ends' one input path.  Parses the instance text
+   format as an event stream, validating every line as it is read:
+   rejects — with line-numbered exit-2 errors — anything [Job.make]
+   would throw on later (NaN or negative workloads, deadline <= release,
+   ...), plus out-of-order arrivals and headers after the first job, so
+   the engines downstream only ever see well-formed, release-ordered
+   arrivals.
 
-(* Parse the instance text format as an event stream, validating every
-   line as it is read.  Rejects — with line-numbered exit-2 errors —
-   anything [Job.make] would throw on later (NaN or negative workloads,
-   deadline <= release, ...), plus out-of-order arrivals and headers
-   after the first job, so the engines downstream only ever see
-   well-formed, release-ordered arrivals. *)
-let parse_stream ~cmd ic ~on_alpha ~on_machines ~on_job =
-  let fail lineno fmt = stream_die cmd ("line %d: " ^^ fmt) lineno in
+   At the first job line the engine state is built from the headers
+   read so far: [start params], where [params i] is shard [i]'s slice of
+   the machine pool ([shards] = 1 for a single engine) — unless
+   [restored] already holds a state.  Each arrival then goes to
+   [on_job lineno state job], the job's id being its index in the
+   stream.  Returns the state; a stream without jobs is an error. *)
+let read_stream ~cmd ~delta ~shards:k ?restored ~start ~on_job ic =
+  let fail lineno fmt = die cmd ("line %d: " ^^ fmt) lineno in
   let lineno = ref 0 in
+  let alpha = ref None and machines = ref None and state = ref restored in
+  let arrivals = ref 0 in
   let last_release = ref Float.neg_infinity in
-  let saw_job = ref false in
   let parse_float what v =
     match float_of_string_opt v with
     | Some f -> f
     | None -> fail !lineno "bad %s %S" what v
+  in
+  let state_at lineno =
+    match !state with
+    | Some s -> s
+    | None ->
+      let power =
+        match !alpha with
+        | Some p -> p
+        | None -> fail lineno "job before the 'alpha' header line"
+      in
+      let m =
+        match !machines with
+        | Some m -> m
+        | None -> fail lineno "job before the 'machines' header line"
+      in
+      if m < k then
+        fail lineno
+          "%d machines cannot be split across %d shards (need machines >= \
+           shards)"
+          m k;
+      (* Split the machine pool across the shards: m/k each, the first
+         m mod k shards get one more. *)
+      let params i =
+        let mi = (m / k) + if i < m mod k then 1 else 0 in
+        Online.params ?delta ~power ~machines:mi ()
+      in
+      let s =
+        match start params with
+        | s -> s
+        | exception Invalid_argument msg -> fail lineno "%s" msg
+      in
+      state := Some s;
+      s
   in
   (try
      while true do
@@ -281,17 +334,18 @@ let parse_stream ~cmd ic ~on_alpha ~on_machines ~on_job =
        else
          match String.split_on_char ' ' line |> List.filter (( <> ) "") with
          | [ "alpha"; v ] ->
-           if !saw_job then fail !lineno "'alpha' header after the first job";
+           if !arrivals > 0 then
+             fail !lineno "'alpha' header after the first job";
            let a = parse_float "alpha" v in
            if not (Float.is_finite a) then fail !lineno "bad alpha %S" v;
            (match Power.make a with
-           | p -> on_alpha !lineno p
+           | p -> alpha := Some p
            | exception Invalid_argument m -> fail !lineno "%s" m)
          | [ "machines"; v ] -> (
-           if !saw_job then
+           if !arrivals > 0 then
              fail !lineno "'machines' header after the first job";
            match int_of_string_opt v with
-           | Some m when m >= 1 -> on_machines !lineno m
+           | Some m when m >= 1 -> machines := Some m
            | Some m -> fail !lineno "machines must be >= 1, got %d" m
            | None -> fail !lineno "bad machines %S" v)
          | [ "job"; r; d; w; v ] ->
@@ -318,18 +372,27 @@ let parse_stream ~cmd ic ~on_alpha ~on_machines ~on_job =
                 must be release-ordered"
                r !last_release;
            last_release := release;
-           saw_job := true;
-           on_job !lineno ~release ~deadline ~workload ~value
+           let s = state_at !lineno in
+           let j = Job.make ~id:!arrivals ~release ~deadline ~workload ~value in
+           incr arrivals;
+           on_job !lineno s j
          | _ -> fail !lineno "unrecognized %S" line
      done
-   with End_of_file -> ())
+   with End_of_file -> ());
+  match !state with Some s -> s | None -> die cmd "no jobs in the stream"
 
-let opt_float = function None -> Json.Null | Some f -> Json.Float f
+(* Run [f] on the input channel ('-' is stdin). *)
+let with_input ~cmd input f =
+  if input = "-" then f stdin
+  else
+    match open_in input with
+    | exception Sys_error m -> die cmd "%s" m
+    | ic -> Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
 
-(* Per-arrival record of the sharded path.  Unlike {!decision_record} it
-   carries the shard and skips the plan fields: rebuilding the plan after
-   every arrival is what made long streams quadratic, and a service
-   cannot afford it. *)
+(* Per-arrival record of `serve`.  Unlike the fold's record it carries
+   the shard and skips the plan fields: rebuilding the plan after every
+   arrival is what made long streams quadratic, and a service cannot
+   afford it. *)
 let sharded_record (ev : Service.ev) =
   let d = ev.Service.decision in
   Json.Obj
@@ -393,32 +456,34 @@ let sharded_summaries ~engine ~total_seq svc plans =
   in
   shard_rows @ [ global ]
 
-(* The sharded admission loop shared by `psched serve` and
-   `psched stream --shards`.  [kill_after] is the crash-injection hook
-   the @serve-soak alias uses: emit every record with seq < N, flush,
-   exit 0 — no summary, no drain-to-EOF — so a later --restore run can
-   be byte-diffed against the straight-through output. *)
+(* The sharded admission loop behind `psched serve`.  [kill_after] is
+   the crash-injection hook the @serve-soak alias uses: emit every
+   record with seq < N, flush, exit 0 — no summary, no drain-to-EOF — so
+   a later --restore run can be byte-diffed against the straight-through
+   output. *)
 let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
     ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only ic =
-  let fail fmt = stream_die cmd fmt in
+  let fail fmt = die cmd fmt in
   if k < 1 then fail "--shards must be >= 1, got %d" k;
-  let svc =
-    match restore with
-    | None -> ref None
-    | Some path ->
-      let manifest =
-        if Sys.file_exists path && Sys.is_directory path then
-          Filename.concat path Checkpoint.manifest_name
-        else path
-      in
-      let s =
+  let non_negative flag n =
+    if n < 0 then fail "%s must be >= 0, got %d" flag n
+  in
+  non_negative "--snapshot-every" snapshot_every;
+  non_negative "--migrate-every" migrate_every;
+  Option.iter (non_negative "--kill-after") kill_after;
+  let restored =
+    Option.map
+      (fun path ->
+        let manifest =
+          if Sys.file_exists path && Sys.is_directory path then
+            Filename.concat path Checkpoint.manifest_name
+          else path
+        in
         match Service.restore ?workers ~manifest () with
         | s -> s
-        | exception Failure m -> fail "%s" m
-      in
-      ref (Some s)
+        | exception (Failure m | Invalid_argument m) -> fail "%s" m)
+      restore
   in
-  let alpha = ref None and machines = ref None in
   let emit evs =
     if not summary_only then
       List.iter
@@ -426,97 +491,48 @@ let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
         evs
   in
   let killed = ref false in
-  let arrivals = ref 0 in
-  let get_svc lineno =
-    match !svc with
-    | Some s -> s
-    | None ->
-      let power =
-        match !alpha with
-        | Some p -> p
-        | None -> fail "line %d: job before the 'alpha' header line" lineno
-      in
-      let m =
-        match !machines with
-        | Some m -> m
-        | None ->
-          fail "line %d: job before the 'machines' header line" lineno
-      in
-      if m < k then
-        fail
-          "line %d: %d machines cannot be split across %d shards (need \
-           machines >= shards)"
-          lineno m k;
-      (* Split the machine pool across the shards: m/k each, the first
-         m mod k shards get one more. *)
-      let params i =
-        let mi = (m / k) + if i < m mod k then 1 else 0 in
-        Online.params ?delta ~power ~machines:mi ()
-      in
-      let s =
-        match Service.create ?workers ~engine ~params ~shards:k () with
-        | s -> s
-        | exception Invalid_argument m -> fail "line %d: %s" lineno m
-      in
-      svc := Some s;
-      s
-  in
-  let on_job lineno ~release ~deadline ~workload ~value =
-    if not !killed then begin
-      let s = get_svc lineno in
-      let idx = !arrivals in
-      incr arrivals;
-      (* A restored service replays nothing: the checkpoint already holds
-         the first [seq] arrivals, so this run just skips them. *)
-      if idx >= Service.seq s then begin
-        let j =
-          Job.make ~id:idx ~release ~deadline ~workload ~value
-        in
-        (match Service.submit s j with
-        | evs -> emit evs
-        | exception e -> fail "line %d: %s" lineno (Printexc.to_string e));
-        let seq = Service.seq s in
-        (match snapshot_dir with
-        | Some dir when snapshot_every > 0 && seq mod snapshot_every = 0 ->
-          Service.checkpoint s ~dir
-        | _ -> ());
-        if migrate_every > 0 && seq mod migrate_every = 0 then begin
-          let shard = seq / migrate_every mod Service.shards s in
-          let worker =
-            (Service.worker_of s ~shard + 1) mod Service.workers s
-          in
-          Service.migrate s ~shard ~worker
-        end;
-        match kill_after with
-        | Some n when seq >= n ->
-          emit (Service.drain s);
-          Service.shutdown s;
-          flush stdout;
-          killed := true
-        | _ -> ()
-      end
+  (* A restored service replays nothing: the checkpoint already holds
+     the first [seq] arrivals, so this run just skips them. *)
+  let on_job lineno s (j : Job.t) =
+    if (not !killed) && j.id >= Service.seq s then begin
+      (match Service.submit s j with
+      | evs -> emit evs
+      | exception e -> fail "line %d: %s" lineno (Printexc.to_string e));
+      let seq = Service.seq s in
+      (match snapshot_dir with
+      | Some dir when snapshot_every > 0 && seq mod snapshot_every = 0 ->
+        Service.checkpoint s ~dir
+      | _ -> ());
+      if migrate_every > 0 && seq mod migrate_every = 0 then begin
+        let shard = seq / migrate_every mod Service.shards s in
+        let worker = (Service.worker_of s ~shard + 1) mod Service.workers s in
+        Service.migrate s ~shard ~worker
+      end;
+      match kill_after with
+      | Some n when seq >= n ->
+        emit (Service.drain s);
+        Service.shutdown s;
+        flush stdout;
+        killed := true
+      | _ -> ()
     end
   in
-  parse_stream ~cmd ic
-    ~on_alpha:(fun _ p -> alpha := Some p)
-    ~on_machines:(fun _ m -> machines := Some m)
-    ~on_job;
-  if not !killed then begin
-    match !svc with
-    | None -> fail "no jobs in the stream"
-    | Some s ->
-      emit (Service.drain s);
-      let plans = Service.finalize s in
-      List.iter
-        (fun row -> print_endline (Json.to_string row))
-        (sharded_summaries ~engine:(Service.engine s)
-           ~total_seq:(Service.seq s) s plans);
-      (match snapshot_dir with
-      | Some dir when snapshot_every = 0 -> Service.checkpoint s ~dir
-      | _ -> ());
-      Service.shutdown s
-  end;
-  if !killed then exit 0
+  let s =
+    read_stream ~cmd ~delta ~shards:k ?restored ~on_job ic
+      ~start:(fun params ->
+        Service.create ?workers ~engine ~params ~shards:k ())
+  in
+  if !killed then exit 0;
+  emit (Service.drain s);
+  let plans = Service.finalize s in
+  List.iter
+    (fun row -> print_endline (Json.to_string row))
+    (sharded_summaries ~engine:(Service.engine s) ~total_seq:(Service.seq s) s
+       plans);
+  (match snapshot_dir with
+  | Some dir when snapshot_every = 0 -> Service.checkpoint s ~dir
+  | _ -> ());
+  Service.shutdown s
 
 let engine_conv =
   let parse s =
@@ -553,176 +569,28 @@ let stream_summary_only_arg =
     & info [ "summary-only" ]
         ~doc:
           "Suppress the per-arrival decision records; emit only the final \
-           summary record(s).  On the single-engine path this also skips \
-           the plan rebuild each record requires, making long soak \
-           streams linear instead of quadratic in the number of arrivals.")
-
-let stream_workers_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers" ]
-        ~doc:"Worker domains for the sharded path (default: one per shard).")
-
-let stream_snapshot_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "snapshot-dir" ]
-        ~doc:
-          "Checkpoint directory for the sharded path.  With \
-           --snapshot-every N a checkpoint is committed every N \
-           arrivals; without it, once after the last arrival.")
-
-let stream_snapshot_every_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:"Commit a checkpoint to --snapshot-dir every N arrivals.")
-
-let stream_restore_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "restore" ] ~docv:"DIR|MANIFEST"
-        ~doc:
-          "Restore the service from a committed checkpoint (a directory \
-           containing a manifest, or the manifest path itself) before \
-           reading the stream; arrivals the checkpoint already covers \
-           are skipped.  Engine, shard count and per-shard parameters \
-           come from the manifest.")
-
-let stream_kill_after_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "kill-after" ] ~docv:"N"
-        ~doc:
-          "Crash injection for failover tests: emit the decision records \
-           for the first N arrivals, flush, and exit 0 — no summary.")
+           summary record(s).  For `stream` this also skips the plan \
+           rebuild each record requires, making long soak streams linear \
+           instead of quadratic in the number of arrivals.")
 
 let stream_cmd =
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Partition arrivals across K engine shards running on \
-             separate domains (default 1: the single-engine path, whose \
-             output is byte-identical to `psched run --decisions-only`).")
-  in
-  let snapshot_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "snapshot" ]
-          ~doc:
-            "Write the final engine snapshot to this file (single-engine \
-             path; written atomically via a temp file and rename).")
-  in
-  let run input engine delta snapshot_out summary_only shards workers
-      snapshot_dir snapshot_every restore kill_after =
+  let run input engine delta summary_only =
     let cmd = "stream" in
-    let ic =
-      if input = "-" then stdin
-      else
-        match open_in input with
-        | ic -> ic
-        | exception Sys_error m -> stream_die cmd "%s" m
-    in
-    Fun.protect
-      ~finally:(fun () -> if input <> "-" then close_in ic)
-      (fun () ->
-        if shards > 1 || restore <> None then begin
-          (match snapshot_out with
-          | Some _ ->
-            stream_die cmd
-              "--snapshot is the single-engine flag; use --snapshot-dir \
-               with --shards"
-          | None -> ());
-          run_sharded ~cmd ~engine ~delta ~shards ~workers ~snapshot_dir
-            ~snapshot_every ~restore ~kill_after ~migrate_every:0
-            ~summary_only ic
-        end
-        else begin
-          (* Single-engine path: arrivals are consumed line by line, so
-             the engine demonstrably never sees a job before its line is
-             read.  Header lines (alpha, machines) must precede the
-             first job line. *)
-          let alpha = ref None and machines = ref None in
-          let state = ref None in
-          let seq = ref 0 and plan_before = ref 0 in
-          let decisions_rev = ref [] in
-          let on_job lineno ~release ~deadline ~workload ~value =
-            let t =
-              match !state with
-              | Some t -> t
-              | None ->
-                let power =
-                  match !alpha with
-                  | Some p -> p
-                  | None ->
-                    stream_die cmd
-                      "line %d: job before the 'alpha' header line" lineno
-                in
-                let m =
-                  match !machines with
-                  | Some m -> m
-                  | None ->
-                    stream_die cmd
-                      "line %d: job before the 'machines' header line"
-                      lineno
-                in
-                let t =
-                  Online.start engine
-                    (Online.params ?delta ~power ~machines:m ())
-                in
-                state := Some t;
-                t
-            in
-            let j =
-              Job.make ~id:!seq ~release ~deadline ~workload ~value
-            in
-            let dec =
-              match Online.arrive t j with
-              | d -> d
-              | exception e ->
-                stream_die cmd "line %d: %s" lineno (Printexc.to_string e)
-            in
-            if not summary_only then begin
-              let plan = Online.current_plan t in
-              print_endline
-                (Json.to_string
-                   (decision_record ~seq:!seq ~plan_before:!plan_before dec
-                      plan));
-              plan_before := List.length plan.Schedule.slices
-            end;
-            incr seq;
-            decisions_rev := dec :: !decisions_rev
-          in
-          parse_stream ~cmd ic
-            ~on_alpha:(fun _ p -> alpha := Some p)
-            ~on_machines:(fun _ m -> machines := Some m)
-            ~on_job;
-          match !state with
-          | None -> stream_die cmd "no jobs in the stream"
-          | Some t ->
-            let power = (Online.params_of t).Online.power in
-            print_endline
-              (Json.to_string
-                 (summary_record ~algorithm:(Online.name engine) ~power
-                    (List.rev !decisions_rev)
-                    (Online.finalize t)));
-            (match snapshot_out with
-            | None -> ()
-            | Some path ->
-              Speedscale_service.Atomic_io.write ~path (Online.snapshot t))
-        end)
+    with_input ~cmd input (fun ic ->
+        let on_job lineno f j =
+          match Online.arrive f.state j with
+          | d -> fold_decision f d
+          | exception e -> die cmd "line %d: %s" lineno (Printexc.to_string e)
+        in
+        fold_summary
+          (read_stream ~cmd ~delta ~shards:1 ~on_job ic ~start:(fun params ->
+               fold_start ~records:(not summary_only)
+                 (Online.start engine (params 0)))))
   in
   let info =
     Cmd.info "stream"
       ~doc:
-        "Feed arrival events line by line through an online engine, \
+        "Feed arrival events line by line through one online engine, \
          emitting one decision record per arrival."
       ~man:
         [
@@ -737,21 +605,18 @@ let stream_cmd =
              the same instance, which is the online=batch equivalence the \
              @stream-smoke alias checks.";
           `P
-            "With --shards K > 1 (or --restore) the arrivals are \
-             hash-partitioned across K engine instances running on \
-             separate domains — see `psched serve` for the long-running \
-             front end with checkpointing and live migration.  Malformed \
-             streams (NaN or non-positive workloads, deadline <= \
-             release, out-of-order arrivals, missing headers) are \
-             rejected with a line-numbered message and exit status 2.";
+            "Malformed streams (NaN or non-positive workloads, deadline \
+             <= release, out-of-order arrivals, missing headers) and \
+             parameters the engine refuses are rejected with a one-line \
+             message and exit status 2.  For sharding, checkpoints and \
+             restore use `psched serve`; `serve --shards 1` runs a single \
+             engine.";
         ]
   in
   Cmd.v info
     Term.(
       const run $ stream_input_arg $ stream_engine_arg $ stream_delta_arg
-      $ snapshot_out $ stream_summary_only_arg $ shards $ stream_workers_arg
-      $ stream_snapshot_dir_arg $ stream_snapshot_every_arg
-      $ stream_restore_arg $ stream_kill_after_arg)
+      $ stream_summary_only_arg)
 
 let serve_cmd =
   let shards =
@@ -759,6 +624,50 @@ let serve_cmd =
       value & opt int 4
       & info [ "shards" ] ~docv:"K"
           ~doc:"Engine shards to partition arrivals across (default 4).")
+  in
+  let workers =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "workers" ]
+          ~doc:"Worker domains (default: one per shard).")
+  in
+  let snapshot_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "snapshot-dir" ]
+          ~doc:
+            "Checkpoint directory.  With --snapshot-every N a checkpoint \
+             is committed every N arrivals; without it, once after the \
+             last arrival.")
+  in
+  let snapshot_every =
+    Arg.(
+      value & opt int 0
+      & info [ "snapshot-every" ] ~docv:"N"
+          ~doc:"Commit a checkpoint to --snapshot-dir every N arrivals.")
+  in
+  let restore =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "restore" ] ~docv:"DIR|MANIFEST"
+          ~doc:
+            "Restore the service from a committed checkpoint (a directory \
+             containing a manifest, or the manifest path itself) before \
+             reading the stream; arrivals the checkpoint already covers \
+             are skipped.  Engine, shard count and per-shard parameters \
+             come from the manifest.")
+  in
+  let kill_after =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "kill-after" ] ~docv:"N"
+          ~doc:
+            "Crash injection for failover tests: emit the decision records \
+             for the first N arrivals, flush, and exit 0 — no summary.")
   in
   let migrate_every =
     Arg.(
@@ -772,19 +681,9 @@ let serve_cmd =
   let run input engine delta summary_only shards workers snapshot_dir
       snapshot_every restore kill_after migrate_every =
     let cmd = "serve" in
-    let ic =
-      if input = "-" then stdin
-      else
-        match open_in input with
-        | ic -> ic
-        | exception Sys_error m -> stream_die cmd "%s" m
-    in
-    Fun.protect
-      ~finally:(fun () -> if input <> "-" then close_in ic)
-      (fun () ->
-        run_sharded ~cmd ~engine ~delta ~shards ~workers ~snapshot_dir
-          ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only
-          ic)
+    with_input ~cmd input
+      (run_sharded ~cmd ~engine ~delta ~shards ~workers ~snapshot_dir
+         ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only)
   in
   let info =
     Cmd.info "serve"
@@ -811,15 +710,19 @@ let serve_cmd =
              and skips the arrivals the checkpoint already covers; the \
              concatenated output equals the straight-through run's, byte \
              for byte, which is exactly what the @serve-soak alias \
-             checks.";
+             checks.  With --shards 1 the checkpoint holds a single \
+             engine: its one shard file is that engine's snapshot.";
+          `P
+            "Malformed streams, bad checkpoints and negative counts \
+             (--snapshot-every, --migrate-every, --kill-after) are \
+             rejected with a one-line message and exit status 2.";
         ]
   in
   Cmd.v info
     Term.(
       const run $ stream_input_arg $ stream_engine_arg $ stream_delta_arg
-      $ stream_summary_only_arg $ shards $ stream_workers_arg
-      $ stream_snapshot_dir_arg $ stream_snapshot_every_arg
-      $ stream_restore_arg $ stream_kill_after_arg $ migrate_every)
+      $ stream_summary_only_arg $ shards $ workers $ snapshot_dir
+      $ snapshot_every $ restore $ kill_after $ migrate_every)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                              *)
@@ -827,7 +730,7 @@ let serve_cmd =
 
 let compare_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "compare" file in
     Printf.printf "instance: %s\n\n" (Format.asprintf "%a" Instance.pp inst);
     List.iter
       (fun alg ->
@@ -876,7 +779,7 @@ let engines_cmd =
 
 let certify_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "certify" file in
     let r = Speedscale_core.Pd.run inst in
     let cost = Cost.total r.cost in
     Printf.printf "PD cost            : %.6f\n" cost;
@@ -901,7 +804,7 @@ let certify_cmd =
 
 let analyze_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "analyze" file in
     let r = Speedscale_core.Pd.run inst in
     let a = Speedscale_core.Analysis.analyze inst r in
     Printf.printf "%-5s %-11s %9s %9s %9s %9s %9s\n" "job" "category"
@@ -932,7 +835,7 @@ let analyze_cmd =
 
 let provision_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "provision" file in
     let must = Instance.with_values inst (fun _ -> Float.infinity) in
     Printf.printf "%-4s %14s\n" "m" "min speed cap";
     List.iter
@@ -964,7 +867,7 @@ let replay_cmd =
       & info [ "csv" ] ~doc:"Write the event trace to this CSV file.")
   in
   let run file csv =
-    let inst = Io.load file in
+    let inst = load_instance "replay" file in
     let r = Speedscale_core.Pd.run inst in
     let run = Speedscale_engine.Executor.replay inst r.schedule in
     List.iter
@@ -1051,11 +954,8 @@ let gantt_cmd =
     Arg.(value & opt int 72 & info [ "width" ] ~doc:"Chart width in columns.")
   in
   let run file algorithm width =
-    let inst = Io.load file in
-    if not (algorithm.Driver.applicable inst) then
-      failwith
-        (Printf.sprintf "%s is not applicable to this instance"
-           algorithm.Driver.name);
+    let inst = load_instance "gantt" file in
+    require_applicable "gantt" algorithm inst;
     let r = Driver.evaluate ~clock:Unix.gettimeofday algorithm inst in
     Printf.printf "%s on %s\n\n" r.algorithm
       (Format.asprintf "%a" Instance.pp inst);

@@ -19,15 +19,14 @@ type params = {
   power : Power.t;
   machines : int;
   delta : float option;
-  clock : (unit -> float) option;
 }
 
-let params ?delta ?clock ~power ~machines () =
+let params ?delta ~power ~machines () =
   if machines < 1 then invalid_arg "Online.params: machines must be >= 1";
-  { power; machines; delta; clock }
+  { power; machines; delta }
 
-let params_of_instance ?delta ?clock (inst : Instance.t) =
-  params ?delta ?clock ~power:inst.power ~machines:inst.machines ()
+let params_of_instance ?delta (inst : Instance.t) =
+  params ?delta ~power:inst.power ~machines:inst.machines ()
 
 type decision = {
   job_id : int;
@@ -44,8 +43,6 @@ let family_name = function
   | Preemptive -> "preemptive"
   | Non_preemptive -> "non-preemptive"
   | Migratory -> "migratory"
-
-type event = { decision : decision; wall_s : float }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot wire format (doc/ENGINE.md)                                 *)
@@ -164,15 +161,14 @@ module type ONLINE = sig
   val arrive : state -> Job.t -> decision
   val current_plan : state -> Schedule.t
   val finalize : state -> Schedule.t
-  val set_observer : state -> (event -> unit) option -> unit
   val params_of : state -> params
   val snapshot : state -> string
   val restore : string -> state
 end
 
 (* What each concrete algorithm provides; [Make] adds the uniform
-   arrival validation, seen-jobs recording, observer timing and
-   replay-based snapshot/restore on top. *)
+   arrival validation, seen-jobs recording and replay-based
+   snapshot/restore on top. *)
 module type CORE = sig
   val name : string
   val description : string
@@ -199,7 +195,6 @@ module Make (C : CORE) : ONLINE = struct
     mutable last_release : float;
     mutable started : bool;
     mutable seen_rev : Job.t list;  (** original arrivals, newest first *)
-    mutable observer : (event -> unit) option;
   }
 
   let create p =
@@ -214,7 +209,6 @@ module Make (C : CORE) : ONLINE = struct
       last_release = Float.neg_infinity;
       started = false;
       seen_rev = [];
-      observer = None;
     }
 
   let arrive st (j : Job.t) =
@@ -224,23 +218,15 @@ module Make (C : CORE) : ONLINE = struct
       invalid_arg
         (Fmt.str "Online.arrive: job %d released at %g before current time %g"
            j.id j.release st.last_release);
-    let t0 = match st.params.clock with Some c -> c () | None -> 0.0 in
     let d = C.arrive_core st.core j in
     Hashtbl.replace st.seen_ids j.id ();
     st.last_release <- j.release;
     st.started <- true;
     st.seen_rev <- j :: st.seen_rev;
-    let wall_s =
-      match st.params.clock with Some c -> c () -. t0 | None -> 0.0
-    in
-    (match st.observer with
-    | Some f -> f { decision = d; wall_s }
-    | None -> ());
     d
 
   let current_plan st = C.plan_core st.core
   let finalize st = C.plan_core st.core
-  let set_observer st f = st.observer <- f
   let params_of st = st.params
   let snapshot st = render_snapshot ~name ~p:st.params (List.rev st.seen_rev)
 
@@ -545,7 +531,6 @@ let start (e : engine) p =
 let arrive (Packed ((module E), st)) j = E.arrive st j
 let current_plan (Packed ((module E), st)) = E.current_plan st
 let finalize (Packed ((module E), st)) = E.finalize st
-let set_observer (Packed ((module E), st)) f = E.set_observer st f
 let params_of (Packed ((module E), st)) = E.params_of st
 let snapshot (Packed ((module E), st)) = E.snapshot st
 
@@ -566,9 +551,8 @@ let restore s =
 
 type run_result = { schedule : Schedule.t; decisions : decision list }
 
-let run ?delta ?clock ?observer (e : engine) (inst : Instance.t) =
-  let t = start e (params_of_instance ?delta ?clock inst) in
-  (match observer with Some _ -> set_observer t observer | None -> ());
+let run ?delta (e : engine) (inst : Instance.t) =
+  let t = start e (params_of_instance ?delta inst) in
   let decisions_rev = ref [] in
   Array.iter
     (fun j -> decisions_rev := arrive t j :: !decisions_rev)

@@ -52,23 +52,12 @@ type params = {
   delta : float option;
       (** PD's rejection parameter [δ]; [None] means the engine default
           ([δ* = α^(1-α)] for PD).  Ignored by every other engine. *)
-  clock : (unit -> float) option;
-      (** Wall clock (e.g. [Unix.gettimeofday]) for the [wall_s] field of
-          observer {!event}s; without it [wall_s] is reported as [0] and
-          the whole execution is deterministic. *)
 }
 
-val params :
-  ?delta:float ->
-  ?clock:(unit -> float) ->
-  power:Power.t ->
-  machines:int ->
-  unit ->
-  params
+val params : ?delta:float -> power:Power.t -> machines:int -> unit -> params
 (** Raises [Invalid_argument] if [machines < 1]. *)
 
-val params_of_instance :
-  ?delta:float -> ?clock:(unit -> float) -> Instance.t -> params
+val params_of_instance : ?delta:float -> Instance.t -> params
 (** The instance's power and machine count. *)
 
 type decision = {
@@ -92,11 +81,6 @@ type family = Preemptive | Non_preemptive | Migratory
 val family_name : family -> string
 (** ["preemptive"], ["non-preemptive"], ["migratory"] — the spelling
     `psched engines` prints. *)
-
-type event = { decision : decision; wall_s : float }
-(** Per-arrival observer payload: the decision plus the wall-clock cost
-    of processing it ([0] without [params.clock]).  Everything except
-    [wall_s] is a deterministic function of the arrival prefix. *)
 
 (* ------------------------------------------------------------------ *)
 (* The engine signature                                                 *)
@@ -134,10 +118,6 @@ module type ONLINE = sig
       entry point exists so engines with commit-on-close semantics fit
       the same signature. *)
 
-  val set_observer : state -> (event -> unit) option -> unit
-  (** Install (or clear) the per-arrival hook, called synchronously at
-      the end of every {!arrive}. *)
-
   val params_of : state -> params
   (** The parameters the state was created with (after {!restore}: the
       parameters recorded in the snapshot). *)
@@ -150,10 +130,9 @@ module type ONLINE = sig
 
   val restore : string -> state
   (** Inverse of {!snapshot}: the restored state processes further
-      arrivals identically to the original.  The clock is not
-      serializable, so restored states report [wall_s = 0].  Raises
-      [Failure] on malformed input or an [engine] header naming a
-      different engine. *)
+      arrivals identically to the original.  Raises [Failure] on
+      malformed input or an [engine] header naming a different
+      engine. *)
 end
 
 type engine = (module ONLINE)
@@ -218,7 +197,6 @@ val start : engine -> params -> t
 val arrive : t -> Job.t -> decision
 val current_plan : t -> Schedule.t
 val finalize : t -> Schedule.t
-val set_observer : t -> (event -> unit) option -> unit
 
 val params_of : t -> params
 (** The parameters behind the packed state (post-{!restore}: the ones
@@ -242,13 +220,7 @@ type run_result = {
   decisions : decision list;  (** in arrival order *)
 }
 
-val run :
-  ?delta:float ->
-  ?clock:(unit -> float) ->
-  ?observer:(event -> unit) ->
-  engine ->
-  Instance.t ->
-  run_result
+val run : ?delta:float -> engine -> Instance.t -> run_result
 (** Feed the instance's jobs in release order and finalize — the only
     way batch code consumes an online engine, which is what makes the
     online-ness structural. *)

@@ -209,7 +209,7 @@ let test_stream_unreadable_input () =
 let test_stream_bad_restore () =
   with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
       let code, out =
-        run_capture [ "stream"; path; "--restore"; "/nonexistent" ]
+        run_capture [ "serve"; path; "--restore"; "/nonexistent" ]
       in
       Alcotest.(check int) "exit 2" 2 code;
       Alcotest.(check bool) "no backtrace" false (contains out "Raised at"))
@@ -222,14 +222,10 @@ let test_stream_sharded_needs_machines () =
         "explains the split" true
         (contains out "machines >= shards"))
 
-(* The failover loop end to end, through the real binary: run sharded,
-   kill mid-stream after a checkpoint, restore, and require the stitched
-   output to be byte-identical to the straight-through run. *)
-let test_stream_kill_restore_byte_identical () =
+let with_tmp_dir f =
   let dir = Filename.temp_file "psched" ".ck" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let inst = Filename.temp_file "psched" ".inst" in
   Fun.protect
     ~finally:(fun () ->
       if Sys.file_exists dir then begin
@@ -237,34 +233,110 @@ let test_stream_kill_restore_byte_identical () =
           (fun n -> Sys.remove (Filename.concat dir n))
           (Sys.readdir dir);
         Sys.rmdir dir
-      end;
-      if Sys.file_exists inst then Sys.remove inst)
-    (fun () ->
-      let code, _ =
-        run_capture
-          [ "generate"; "--preset"; "random"; "-n"; "120"; "-m"; "4";
-            "--seed"; "7"; "-o"; inst ]
-      in
-      Alcotest.(check int) "generate" 0 code;
-      let code, full = run_capture [ "stream"; inst; "--shards"; "4" ] in
-      Alcotest.(check int) "full run" 0 code;
-      let code, part1 =
-        run_capture
-          [ "stream"; inst; "--shards"; "4"; "--snapshot-dir"; dir;
-            "--snapshot-every"; "40"; "--kill-after"; "100" ]
-      in
-      Alcotest.(check int) "killed run exits 0" 0 code;
-      let code, part2 = run_capture [ "stream"; inst; "--restore"; dir ] in
-      Alcotest.(check int) "restored run" 0 code;
-      (* records are 8 lines each; the last committed checkpoint is at
-         seq 80, so the restored run re-emits from there *)
-      let lines = String.split_on_char '\n' part1 in
-      let prefix =
-        List.filteri (fun i _ -> i < 8 * 80) lines |> String.concat "\n"
-      in
-      Alcotest.(check string)
-        "stitched output equals the straight-through run" full
-        (prefix ^ "\n" ^ part2))
+      end)
+    (fun () -> f dir)
+
+(* The failover loop end to end, through the real binary: run sharded,
+   kill mid-stream after a checkpoint, restore, and require the stitched
+   output to be byte-identical to the straight-through run. *)
+let test_stream_kill_restore_byte_identical () =
+  with_tmp_dir (fun dir ->
+      let inst = Filename.temp_file "psched" ".inst" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists inst then Sys.remove inst)
+        (fun () ->
+          let code, _ =
+            run_capture
+              [ "generate"; "--preset"; "random"; "-n"; "120"; "-m"; "4";
+                "--seed"; "7"; "-o"; inst ]
+          in
+          Alcotest.(check int) "generate" 0 code;
+          let code, full = run_capture [ "serve"; inst; "--shards"; "4" ] in
+          Alcotest.(check int) "full run" 0 code;
+          let code, part1 =
+            run_capture
+              [ "serve"; inst; "--shards"; "4"; "--snapshot-dir"; dir;
+                "--snapshot-every"; "40"; "--kill-after"; "100" ]
+          in
+          Alcotest.(check int) "killed run exits 0" 0 code;
+          let code, part2 = run_capture [ "serve"; inst; "--restore"; dir ] in
+          Alcotest.(check int) "restored run" 0 code;
+          (* records are 8 lines each; the last committed checkpoint is at
+             seq 80, so the restored run re-emits from there *)
+          let lines = String.split_on_char '\n' part1 in
+          let prefix =
+            List.filteri (fun i _ -> i < 8 * 80) lines |> String.concat "\n"
+          in
+          Alcotest.(check string)
+            "stitched output equals the straight-through run" full
+            (prefix ^ "\n" ^ part2)))
+
+(* Bad input of every kind, on every command, is a one-line diagnostic
+   and exit 2 — never an internal error. *)
+let check_exit_2 name args =
+  let code, out = run_capture args in
+  Alcotest.(check int) (name ^ ": exit 2") 2 code;
+  Alcotest.(check bool)
+    (name ^ ": no internal error") false
+    (contains out "internal error" || contains out "Raised at");
+  Alcotest.(check int)
+    (name ^ ": one line of diagnostics") 1
+    (List.length (String.split_on_char '\n' (String.trim out)))
+
+let test_bad_input_exits_2 () =
+  check_exit_2 "generate --preset bogus" [ "generate"; "--preset"; "bogus" ];
+  with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
+      check_exit_2 "stream --delta=-1" [ "stream"; path; "--delta=-1" ];
+      check_exit_2 "stream -a oa on 2 machines" [ "stream"; path; "-a"; "oa" ]);
+  with_stream "alpha 3\nmachines 2\nbogus\n" (fun path ->
+      List.iter
+        (fun cmd ->
+          check_exit_2 (cmd ^ " on a malformed instance") [ cmd; path ])
+        [ "run"; "compare"; "certify"; "analyze"; "provision"; "replay";
+          "gantt" ]);
+  with_instance (fun path ->
+      check_exit_2 "run --decisions-only, offline algorithm"
+        [ "run"; path; "--decisions-only"; "-a"; "opt-energy" ]);
+  with_stream "alpha 3\nmachines 1\njob 0 1 1 5\n" (fun path ->
+      with_tmp_dir (fun dir ->
+          let code, _ =
+            run_capture
+              [ "serve"; path; "--shards"; "1"; "--snapshot-dir"; dir ]
+          in
+          Alcotest.(check int) "checkpointing run" 0 code;
+          check_exit_2 "serve --restore --workers 0"
+            [ "serve"; path; "--restore"; dir; "--workers"; "0" ]))
+
+(* Negative counts are refused: --snapshot-every=-3 would satisfy neither
+   the periodic (> 0) nor the final (= 0) checkpoint condition, so it
+   would exit 0 having written nothing. *)
+let test_serve_negative_counts () =
+  with_stream "alpha 3\nmachines 1\njob 0 1 1 5\n" (fun path ->
+      with_tmp_dir (fun dir ->
+          let ckpt = Filename.concat dir "ckpt" in
+          check_exit_2 "--snapshot-every=-3"
+            [ "serve"; path; "--shards"; "1"; "--snapshot-dir"; ckpt;
+              "--snapshot-every=-3" ];
+          Alcotest.(check bool)
+            "no checkpoint directory" false (Sys.file_exists ckpt);
+          check_exit_2 "--migrate-every=-1"
+            [ "serve"; path; "--shards"; "1"; "--migrate-every=-1" ];
+          check_exit_2 "--kill-after=-1"
+            [ "serve"; path; "--shards"; "1"; "--kill-after=-1" ]))
+
+(* `stream` is the single-engine command only: sharding, checkpoints and
+   restore belong to `serve`. *)
+let test_stream_has_no_service_flags () =
+  with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
+      List.iter
+        (fun flag ->
+          let code, out = run_capture [ "stream"; path; flag; "1" ] in
+          Alcotest.(check bool) (flag ^ ": refused") true (code <> 0);
+          Alcotest.(check bool)
+            (flag ^ ": as an unknown option") true
+            (contains out "unknown option"))
+        [ "--shards"; "--workers"; "--snapshot-dir"; "--snapshot-every";
+          "--restore"; "--kill-after"; "--snapshot" ])
 
 (* ---------------- slint ---------------- *)
 
@@ -459,6 +531,7 @@ let () =
           Alcotest.test_case "gantt" `Quick test_gantt;
           Alcotest.test_case "unknown algorithm" `Quick
             test_unknown_algorithm_fails;
+          Alcotest.test_case "bad input exits 2" `Quick test_bad_input_exits_2;
         ] );
       ( "stream",
         [
@@ -471,6 +544,10 @@ let () =
             test_stream_sharded_needs_machines;
           Alcotest.test_case "kill/restore byte-identical" `Quick
             test_stream_kill_restore_byte_identical;
+          Alcotest.test_case "negative counts exit 2" `Quick
+            test_serve_negative_counts;
+          Alcotest.test_case "no service flags" `Quick
+            test_stream_has_no_service_flags;
         ] );
       ( "slint",
         [

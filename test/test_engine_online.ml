@@ -131,35 +131,8 @@ let test_golden_costs () =
     [ ("single", golden_single); ("multi", golden_multi) ]
 
 (* ------------------------------------------------------------------ *)
-(* Observer and params plumbing                                         *)
+(* Driver clock plumbing                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_observer_and_clock () =
-  let events = ref 0 in
-  let r =
-    Online.run Online.pd golden_single ~observer:(fun ev ->
-        incr events;
-        Alcotest.(check (float 0.0)) "wall_s is 0 without clock" 0.0 ev.wall_s)
-  in
-  Alcotest.(check int)
-    "observer fired per arrival"
-    (Instance.n_jobs golden_single)
-    !events;
-  ignore r;
-  (* a fake injected clock is read twice per arrival *)
-  let ticks = ref 0.0 in
-  let clock () =
-    ticks := !ticks +. 0.5;
-    !ticks
-  in
-  let wall = ref 0.0 in
-  ignore
-    (Online.run Online.cll golden_single ~clock ~observer:(fun ev ->
-         wall := !wall +. ev.wall_s));
-  Alcotest.(check (float 1e-9))
-    "fake clock accumulates 0.5 per arrival"
-    (0.5 *. float_of_int (Instance.n_jobs golden_single))
-    !wall
 
 let test_driver_clock_injection () =
   let r = Driver.evaluate Driver.pd golden_single in
@@ -429,8 +402,6 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "observer + engine clock" `Quick
-            test_observer_and_clock;
           Alcotest.test_case "driver clock injection" `Quick
             test_driver_clock_injection;
         ] );

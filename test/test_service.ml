@@ -348,6 +348,30 @@ let test_checkpoint_detects_corruption () =
       | _ -> Alcotest.fail "restore must refuse a corrupt checkpoint"
       | exception Failure _ -> ())
 
+(* A one-shard checkpoint holds exactly a single engine: its shard file
+   is byte for byte the plain engine's snapshot after the same arrivals,
+   which is why `serve --shards 1 --snapshot-dir` is the single-engine
+   checkpoint and no separate single-engine snapshot path exists. *)
+let test_checkpoint_k1_is_engine_snapshot () =
+  with_tmp_dir (fun dir ->
+      let jobs = jobs_of 40 ~machines:2 ~seed:11 in
+      let params _ = Online.params ~delta:0.2 ~power:p3 ~machines:2 () in
+      let svc = Service.create ~engine:Online.pd ~params ~shards:1 () in
+      ignore (feed svc jobs);
+      Service.checkpoint svc ~dir;
+      Service.shutdown svc;
+      let t = Online.start Online.pd (params 0) in
+      List.iter (fun j -> ignore (Online.arrive t j)) jobs;
+      let manifest = Filename.concat dir Checkpoint.manifest_name in
+      let mf, _ = Checkpoint.load ~manifest in
+      match mf.Checkpoint.files with
+      | [ file ] ->
+        Alcotest.(check string)
+          "shard file = Online.snapshot" (Online.snapshot t)
+          (read_file (Filename.concat dir file))
+      | files ->
+        Alcotest.failf "expected one shard file, got %d" (List.length files))
+
 let test_checkpoint_prunes_superseded () =
   with_tmp_dir (fun dir ->
       let params _ = Online.params ~power:p3 ~machines:1 () in
@@ -409,5 +433,7 @@ let () =
             test_checkpoint_detects_corruption;
           Alcotest.test_case "prunes superseded" `Quick
             test_checkpoint_prunes_superseded;
+          Alcotest.test_case "k=1 shard file is the engine snapshot" `Quick
+            test_checkpoint_k1_is_engine_snapshot;
         ] );
     ]
