@@ -70,6 +70,29 @@ let require_applicable cmd (alg : Driver.algorithm) inst =
     die cmd "%s is not applicable to this instance" alg.name
 
 (* ------------------------------------------------------------------ *)
+(* Record output                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every JSON record goes through this one reused buffer and reaches
+   stdout with one write and one flush per call of [flush_records]: per
+   record for the fold and the summaries, per decision batch for
+   `serve`, whose decisions come out of [Service] in batches anyway. *)
+let out_buf = Buffer.create 4096
+
+let add_record v =
+  Json.to_buffer out_buf v;
+  Buffer.add_char out_buf '\n'
+
+let flush_records () =
+  Buffer.output_buffer stdout out_buf;
+  Buffer.clear out_buf;
+  flush stdout
+
+let print_record v =
+  add_record v;
+  flush_records ()
+
+(* ------------------------------------------------------------------ *)
 (* The decision fold (shared by `run --decisions-only` and `stream`)    *)
 (* ------------------------------------------------------------------ *)
 
@@ -97,19 +120,18 @@ let fold_decision f (d : Online.decision) =
   if f.records then begin
     let plan = Online.current_plan f.state in
     let n_slices = List.length plan.slices in
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            [
-              ("seq", Json.Int f.seq);
-              ("job", Json.Int d.job_id);
-              ("accepted", Json.Bool d.accepted);
-              ("lambda", opt_float d.lambda);
-              ("planned_speed", opt_float d.planned_speed);
-              ("plan_slices", Json.Int n_slices);
-              ("plan_delta", Json.Int (n_slices - f.plan_before));
-              ("rejected", Json.Int (List.length plan.rejected));
-            ]));
+    print_record
+      (Json.Obj
+         [
+           ("seq", Json.Int f.seq);
+           ("job", Json.Int d.job_id);
+           ("accepted", Json.Bool d.accepted);
+           ("lambda", opt_float d.lambda);
+           ("planned_speed", opt_float d.planned_speed);
+           ("plan_slices", Json.Int n_slices);
+           ("plan_delta", Json.Int (n_slices - f.plan_before));
+           ("rejected", Json.Int (List.length plan.rejected));
+         ]);
     f.plan_before <- n_slices
   end;
   f.seq <- f.seq + 1
@@ -117,17 +139,16 @@ let fold_decision f (d : Online.decision) =
 let fold_summary f =
   let plan = Online.finalize f.state in
   let power = (Online.params_of f.state).power in
-  print_endline
-    (Json.to_string
-       (Json.Obj
-          [
-            ("summary", Json.Str (Online.name (Online.engine_of f.state)));
-            ("jobs", Json.Int f.seq);
-            ("accepted", Json.Int f.accepted);
-            ("rejected", Json.Int (f.seq - f.accepted));
-            ("plan_slices", Json.Int (List.length plan.slices));
-            ("energy", Json.Float (Schedule.energy power plan));
-          ]))
+  print_record
+    (Json.Obj
+       [
+         ("summary", Json.Str (Online.name (Online.engine_of f.state)));
+         ("jobs", Json.Int f.seq);
+         ("accepted", Json.Int f.accepted);
+         ("rejected", Json.Int (f.seq - f.accepted));
+         ("plan_slices", Json.Int (List.length plan.slices));
+         ("energy", Json.Float (Schedule.energy power plan));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                             *)
@@ -153,8 +174,8 @@ let generate_cmd =
       & info [ "o"; "output" ] ~doc:"Output file (default: stdout).")
   in
   let run preset alpha machines n seed out =
-    let power = Power.make alpha in
-    let inst =
+    let generate () =
+      let power = Power.make alpha in
       match preset with
       | "datacenter" ->
         Speedscale_workload.Generate.datacenter ~power ~machines ~seed ~n
@@ -169,11 +190,19 @@ let generate_cmd =
         die "generate" "unknown preset %S (known: datacenter, random, bkp)"
           other
     in
+    (* The generators and model constructors validate -n, -m and --alpha
+       themselves; their refusals are bad input, not internal errors. *)
+    let inst =
+      match generate () with
+      | inst -> inst
+      | exception Invalid_argument m -> die "generate" "%s" m
+    in
     let text = Io.to_string inst in
     match out with
     | None -> print_string text
     | Some path ->
-      Io.save path inst;
+      (try Io.save path inst
+       with Sys_error m -> die "generate" "%s" m);
       Printf.printf "wrote %d jobs to %s\n" (Instance.n_jobs inst) path
   in
   let info =
@@ -485,10 +514,10 @@ let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
       restore
   in
   let emit evs =
-    if not summary_only then
-      List.iter
-        (fun ev -> print_endline (Json.to_string (sharded_record ev)))
-        evs
+    if (not summary_only) && evs <> [] then begin
+      List.iter (fun ev -> add_record (sharded_record ev)) evs;
+      flush_records ()
+    end
   in
   let killed = ref false in
   (* A restored service replays nothing: the checkpoint already holds
@@ -525,8 +554,7 @@ let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
   if !killed then exit 0;
   emit (Service.drain s);
   let plans = Service.finalize s in
-  List.iter
-    (fun row -> print_endline (Json.to_string row))
+  List.iter print_record
     (sharded_summaries ~engine:(Service.engine s) ~total_seq:(Service.seq s) s
        plans);
   (match snapshot_dir with

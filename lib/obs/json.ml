@@ -27,19 +27,24 @@ let rec equal a b =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The C primitive behind [Printf]'s [%g]/[%f] and [string_of_float].
+   Called directly it renders the same bytes as [Fmt.str] without going
+   through the format interpreter, which dominated the cost of a record. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_to_string x =
   if Float.is_nan x then "NaN"
   else if Float.equal x Float.infinity then "Infinity"
   else if Float.equal x Float.neg_infinity then "-Infinity"
-  else if Float.is_integer x && Float.abs x < 1e16 then Fmt.str "%.1f" x
+  else if Float.is_integer x && Float.abs x < 1e16 then format_float "%.1f" x
   else
     let exact s = Float.equal (float_of_string s) x in
-    let s = Fmt.str "%.15g" x in
+    let s = format_float "%.15g" x in
     let s =
       if exact s then s
       else
-        let s = Fmt.str "%.16g" x in
-        if exact s then s else Fmt.str "%.17g" x
+        let s = format_float "%.16g" x in
+        if exact s then s else format_float "%.17g" x
     in
     (* %g drops the exponent when it fits the precision, so a large
        integral float (e.g. 2^54-ish) can render as bare digits — which
@@ -65,9 +70,12 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let to_string v =
-  let buf = Buffer.create 1024 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
+let pad buf n =
+  for _ = 1 to n do
+    Buffer.add_char buf ' '
+  done
+
+let to_buffer buf v =
   let rec go indent v =
     match v with
     | Null -> Buffer.add_string buf "null"
@@ -81,11 +89,11 @@ let to_string v =
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
+          pad buf (indent + 2);
           go (indent + 2) item)
         items;
       Buffer.add_char buf '\n';
-      pad indent;
+      pad buf indent;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
@@ -93,16 +101,20 @@ let to_string v =
       List.iteri
         (fun i (k, item) ->
           if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
+          pad buf (indent + 2);
           escape_string buf k;
           Buffer.add_string buf ": ";
           go (indent + 2) item)
         fields;
       Buffer.add_char buf '\n';
-      pad indent;
+      pad buf indent;
       Buffer.add_char buf '}'
   in
-  go 0 v;
+  go 0 v
+
+let to_string v =
+  let buf = Buffer.create 1024 in
+  to_buffer buf v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

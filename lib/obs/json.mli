@@ -27,8 +27,16 @@ val equal : t -> t -> bool
 val float_to_string : float -> string
 (** Shortest decimal representation that parses back to the identical bit
     pattern ([%.15g], widening to [%.16g]/[%.17g] only when needed).
-    Integral floats render with a trailing [".0"] so they stay floats on
-    decode. *)
+    Integral floats below [1e16] render as [%.1f]; any other rendering
+    without a [.] or exponent gets a trailing [".0"], so floats stay
+    floats on decode.  These bytes are a contract: they are exactly what
+    [Printf.sprintf] with those formats gives, and golden outputs depend
+    on them. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer buf v] appends the canonical rendering of [v] to [buf] —
+    the same bytes as [to_string v], without allocating a buffer of its
+    own.  Reuse one buffer to encode many values. *)
 
 val to_string : t -> string
 (** Canonical pretty rendering (two-space indent, no trailing newline). *)

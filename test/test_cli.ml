@@ -284,7 +284,17 @@ let check_exit_2 name args =
     (List.length (String.split_on_char '\n' (String.trim out)))
 
 let test_bad_input_exits_2 () =
-  check_exit_2 "generate --preset bogus" [ "generate"; "--preset"; "bogus" ];
+  List.iter
+    (fun args -> check_exit_2 (String.concat " " args) args)
+    [
+      [ "generate"; "--preset"; "bogus" ];
+      [ "generate"; "-n"; "0"; "--preset"; "datacenter" ];
+      [ "generate"; "-m"; "0"; "--preset"; "datacenter" ];
+      [ "generate"; "--alpha"; "1"; "--preset"; "random" ];
+      [ "generate"; "--alpha"; "nan" ];
+      [ "generate"; "--alpha"; "0.5"; "--preset"; "bkp" ];
+      [ "generate"; "-n"; "3"; "-o"; "no-such-dir/inst.txt" ];
+    ];
   with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
       check_exit_2 "stream --delta=-1" [ "stream"; path; "--delta=-1" ];
       check_exit_2 "stream -a oa on 2 machines" [ "stream"; path; "-a"; "oa" ]);

@@ -120,6 +120,113 @@ let prop_json_string_roundtrip =
       | Ok (Json.Str s') -> String.equal s s'
       | _ -> false)
 
+(* The printer as it was written with [Fmt.str], frozen here as the
+   reference: [Json.float_to_string] calls the C formatting primitive
+   directly, and must keep producing these bytes. *)
+let frozen_float_to_string x =
+  if Float.is_nan x then "NaN"
+  else if Float.equal x Float.infinity then "Infinity"
+  else if Float.equal x Float.neg_infinity then "-Infinity"
+  else if Float.is_integer x && Float.abs x < 1e16 then Fmt.str "%.1f" x
+  else
+    let exact s = Float.equal (float_of_string s) x in
+    let s = Fmt.str "%.15g" x in
+    let s =
+      if exact s then s
+      else
+        let s = Fmt.str "%.16g" x in
+        if exact s then s else Fmt.str "%.17g" x
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+
+(* Where a shortest-digits printer can go wrong: signed zeros,
+   subnormals, the edges of exact integers (2^53) and of the [%.1f]
+   branch (1e16), every power of ten with its neighbouring floats, and
+   halfway-looking mantissas (9.5e k). *)
+let adversarial_floats =
+  let pow10 k = float_of_string (Printf.sprintf "1e%d" k) in
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let positives =
+    [ 0.0; 4.9e-324; Float.min_float; Float.pred Float.min_float;
+      Int64.float_of_bits 2L; Int64.float_of_bits 0x0008000000000001L;
+      9007199254740991.0; 9007199254740992.0; 9007199254740994.0;
+      Float.max_float ]
+    @ around 1e16
+    @ List.concat_map
+        (fun k ->
+          around (pow10 k) @ [ float_of_string (Printf.sprintf "9.5e%d" k) ])
+        (List.init (308 + 320 + 1) (fun i -> i - 320))
+  in
+  List.filter Float.is_finite
+    (positives @ List.map Float.neg positives)
+
+let gen_printer_float =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        oneofl adversarial_floats;
+        gen_scalar_float;
+      ])
+
+let prop_float_printer_frozen =
+  QCheck.Test.make ~name:"float_to_string = the frozen Fmt.str printer"
+    ~count:20_000
+    (QCheck.make gen_printer_float ~print:(Printf.sprintf "%h"))
+    (fun x -> String.equal (Json.float_to_string x) (frozen_float_to_string x))
+
+let test_float_printer_adversarial () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h" x) (frozen_float_to_string x)
+        (Json.float_to_string x))
+    adversarial_floats
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) gen_printer_float;
+                 map (fun s -> Json.Str s) gen_name;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map (fun l -> Json.List l)
+                     (list_size (0 -- 4) (self (n / 4))) );
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (0 -- 4) (pair gen_name (self (n / 4)))) );
+               ]))
+
+let prop_to_buffer_appends =
+  QCheck.Test.make ~name:"to_buffer appends exactly to_string's bytes"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(pair gen_name gen_json)
+       ~print:(fun (prefix, v) -> prefix ^ " / " ^ Json.to_string v))
+    (fun (prefix, v) ->
+      let fresh = Buffer.create 1 in
+      Json.to_buffer fresh v;
+      let used = Buffer.create 16 in
+      Buffer.add_string used prefix;
+      Json.to_buffer used v;
+      let expected = Json.to_string v in
+      String.equal (Buffer.contents fresh) expected
+      && String.equal (Buffer.contents used) (prefix ^ expected))
+
 (* ------------------------------------------------------------------ *)
 (* Record: schema round trip                                           *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +499,10 @@ let () =
           Alcotest.test_case "float format" `Quick test_json_float_format;
           q prop_json_float_roundtrip;
           q prop_json_string_roundtrip;
+          Alcotest.test_case "printer = frozen printer, adversarial" `Quick
+            test_float_printer_adversarial;
+          q prop_float_printer_frozen;
+          q prop_to_buffer_appends;
         ] );
       ( "record",
         [
