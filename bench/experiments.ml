@@ -1054,8 +1054,8 @@ let e20 () =
 
 (* The tree timeline + GC arrival path at sizes the flat timeline could
    not reach (doc/PERF.md).  Verdict inputs are deterministic counters
-   only; the resident_* counters are memory gauges that `psched
-   bench-diff` fails on growth, like a timing regression.  For the two
+   only; the resident_* counters are deterministic high-water marks of
+   live intervals and table entries, a space record.  For the two
    smaller rungs the whole stream is replayed through the reference
    bisection solver (same gc state) and decisions must agree: acceptance
    bit for bit, multipliers to solver tolerance. *)
@@ -1276,8 +1276,8 @@ let e22 () =
 (* Two questions about lib/service.  (1) Throughput: arrivals/sec of
    the full submit → shard → merge loop at >= 10^6 jobs per run, across
    shard counts — the scaling shape depends on the host's core count
-   (this is a Timing record, so bench-diff gates it like any other
-   wall-clock), while the verdict rests only on deterministic
+   (a Timing record, informational like any other wall-clock), while
+   the verdict rests only on deterministic
    invariants: every run processes the whole stream, the merged stream
    is identical at every worker count, and the one-shard service costs
    exactly what plain PD costs.  (2) The competitive-ratio price of

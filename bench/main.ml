@@ -4,23 +4,26 @@
      dune exec bench/main.exe -- E2 E5             # run selected experiments
      dune exec bench/main.exe -- quick             # skip the slow exact-OPT sweeps
      dune exec bench/main.exe -- quick --json BENCH_quick.json
-     dune exec bench/main.exe -- --jobs 4 --json BENCH_PR2.json
+     dune exec bench/main.exe -- --jobs 4 --json BENCH_full.json
 
    Each experiment regenerates one table or figure of EXPERIMENTS.md and
-   prints a CONFIRMED / NOT CONFIRMED verdict for the expected shape.
+   prints a CONFIRMED / NOT CONFIRMED verdict for the expected shape; the
+   run exits 1 if any verdict is NOT CONFIRMED.
    Experiments fan out across OCaml 5 domains (their seeds are fixed per
    experiment, and output/records merge in experiment order, so any --jobs
    value prints identical bytes); bechamel timings always run sequentially
    after them, on an otherwise idle process.  --json additionally writes
-   every structured record (see doc/BENCHMARKING.md for the schema and the
-   `psched bench-diff` regression gate). *)
+   every structured record (see doc/BENCHMARKING.md for the schema and for
+   the golden pin that checks the smoke run's records). *)
 
 let slow = [ "E6"; "E7"; "E8"; "E11"; "E18"; "E19"; "E21"; "E22"; "E28" ]
 
-(* The cheap figure/property experiments: what `--smoke` (the @bench-quick
-   alias attached to @runtest) runs so the pipeline is exercised on every
-   test run without paying for the full sweeps. *)
-let smoke_set = [ "E2"; "E3"; "E4"; "E5"; "E10" ]
+(* The cheap experiments: what `--smoke` (the @bench-quick alias attached
+   to @runtest) runs on every test run without paying for the full sweeps.
+   Their records, timing aside, are pinned by test/bench_golden.json: the
+   figure/property verdicts, E20's Chen probe/interval/breakpoint counts
+   and E27's certificate-violation count. *)
+let smoke_set = [ "E2"; "E3"; "E4"; "E5"; "E10"; "E20"; "E27" ]
 
 let usage code =
   let ch = if code = 0 then stdout else stderr in
@@ -164,18 +167,28 @@ let () =
     else []
   in
   Printf.printf "\nAll requested experiments completed.\n";
-  match cli.json with
-  | None -> ()
-  | Some path ->
-    let records =
-      List.concat_map (fun (r : Harness.task_result) -> r.records) results
-      @ timing_records
-    in
-    let file =
-      {
-        Speedscale_obs.Record.version = Speedscale_obs.Record.schema_version;
-        env = Speedscale_obs.Record.current_env ~jobs;
-        records;
-      }
-    in
-    Speedscale_obs.Record.write_file ~path file
+  let records =
+    List.concat_map (fun (r : Harness.task_result) -> r.records) results
+    @ timing_records
+  in
+  Option.iter
+    (fun path ->
+      Speedscale_obs.Record.write_file ~path
+        {
+          Speedscale_obs.Record.version = Speedscale_obs.Record.schema_version;
+          env = Speedscale_obs.Record.current_env ~jobs;
+          records;
+        })
+    cli.json;
+  let refuted =
+    List.filter
+      (fun (r : Speedscale_obs.Record.t) -> r.verdict = Some false)
+      records
+  in
+  if refuted <> [] then begin
+    List.iter
+      (fun (r : Speedscale_obs.Record.t) ->
+        Printf.eprintf "main.exe: %s NOT CONFIRMED\n" r.id)
+      refuted;
+    exit 1
+  end

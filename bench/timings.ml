@@ -4,8 +4,8 @@
    processing, dual evaluation).
 
    Every estimate is also emitted as a structured Speedscale_obs record
-   (id "E12/<test-name>", kind Timing) so BENCH_*.json files carry the
-   micro-timings that `psched bench-diff` gates on. *)
+   (id "E12/<test-name>", kind Timing), so --json files carry the
+   micro-timings. *)
 
 open Bechamel
 open Speedscale_model
@@ -101,9 +101,9 @@ let run ?(smoke = false) () =
            Speedscale_obs.Record.Timing))
     (List.sort compare rows);
   (* Deterministic companion to the pd-arrivals timings: the same
-     workload's per-arrival work counters.  Machine-independent, so
-     bench-diff surfaces algorithmic drift (extra probes, breakpoint
-     blow-up) even where raw nanoseconds are too noisy to gate on. *)
+     workload's per-arrival work counters.  Machine-independent, so they
+     show algorithmic drift (extra probes, breakpoint blow-up) even where
+     raw nanoseconds are too noisy to read. *)
   let inst = Harness.random_instance ~alpha:2.0 ~machines:8 ~seed:9 ~n:100 in
   let pd =
     Speedscale_core.Pd.create ~power:inst.Instance.power

@@ -47,9 +47,8 @@ let algorithm_conv =
   Arg.conv (parse, print)
 
 (* Every user-facing failure goes through here: a one-line diagnostic on
-   stderr (with the input line number whenever one is known) and exit 2
-   — the same discipline as bench-diff, never an uncaught exception
-   with a backtrace. *)
+   stderr (with the input line number whenever one is known) and exit 2,
+   never an uncaught exception with a backtrace. *)
 let die cmd fmt =
   Fmt.kstr
     (fun msg ->
@@ -497,7 +496,12 @@ let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
   let non_negative flag n =
     if n < 0 then fail "%s must be >= 0, got %d" flag n
   in
+  Option.iter
+    (fun w -> if w < 1 then fail "--workers must be >= 1, got %d" w)
+    workers;
   non_negative "--snapshot-every" snapshot_every;
+  if snapshot_every > 0 && Option.is_none snapshot_dir then
+    fail "--snapshot-every %d needs --snapshot-dir" snapshot_every;
   non_negative "--migrate-every" migrate_every;
   Option.iter (non_negative "--kill-after") kill_after;
   let restored =
@@ -741,8 +745,9 @@ let serve_cmd =
              checks.  With --shards 1 the checkpoint holds a single \
              engine: its one shard file is that engine's snapshot.";
           `P
-            "Malformed streams, bad checkpoints and negative counts \
-             (--snapshot-every, --migrate-every, --kill-after) are \
+            "Malformed streams, bad checkpoints, negative counts \
+             (--snapshot-every, --migrate-every, --kill-after), --workers \
+             below 1 and --snapshot-every without --snapshot-dir are \
              rejected with a one-line message and exit status 2.";
         ]
   in
@@ -922,52 +927,6 @@ let replay_cmd =
   Cmd.v info Term.(const run $ instance_arg $ csv)
 
 (* ------------------------------------------------------------------ *)
-(* bench-diff                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bench_diff_cmd =
-  let old_arg =
-    let doc = "Baseline BENCH_*.json (produced by `bench/main.exe --json`)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
-  in
-  let new_arg =
-    let doc = "Candidate BENCH_*.json to gate against the baseline." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
-  in
-  let threshold =
-    let doc =
-      "Relative slowdown that counts as a regression (0.1 = fail when a \
-       kernel is more than 10% slower)."
-    in
-    Arg.(
-      value
-      & opt float Speedscale_obs.Diff.default_threshold
-      & info [ "threshold" ] ~docv:"FRACTION" ~doc)
-  in
-  let run old_path new_path threshold =
-    let load path =
-      match Speedscale_obs.Record.read_file ~path with
-      | Ok f -> f
-      | Error e ->
-        Printf.eprintf "psched bench-diff: %s: %s\n" path e;
-        exit 2
-    in
-    let old_file = load old_path and new_file = load new_path in
-    let report =
-      Speedscale_obs.Diff.compare_files ~threshold old_file new_file
-    in
-    print_string (Speedscale_obs.Diff.to_string report);
-    if not (Speedscale_obs.Diff.ok report) then exit 1
-  in
-  let info =
-    Cmd.info "bench-diff"
-      ~doc:
-        "Compare two structured benchmark files; exit non-zero on a perf or \
-         verdict regression."
-  in
-  Cmd.v info Term.(const run $ old_arg $ new_arg $ threshold)
-
-(* ------------------------------------------------------------------ *)
 (* gantt                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -982,6 +941,7 @@ let gantt_cmd =
     Arg.(value & opt int 72 & info [ "width" ] ~doc:"Chart width in columns.")
   in
   let run file algorithm width =
+    if width < 1 then die "gantt" "--width must be >= 1, got %d" width;
     let inst = load_instance "gantt" file in
     require_applicable "gantt" algorithm inst;
     let r = Driver.evaluate ~clock:Unix.gettimeofday algorithm inst in
@@ -1006,5 +966,5 @@ let () =
           [
             generate_cmd; run_cmd; stream_cmd; serve_cmd; compare_cmd;
             engines_cmd; certify_cmd; analyze_cmd; provision_cmd; replay_cmd;
-            gantt_cmd; bench_diff_cmd;
+            gantt_cmd;
           ]))

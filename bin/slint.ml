@@ -3,7 +3,7 @@
 let usage =
   "slint [--root DIR] [--json] [--sarif PATH] [--baseline FILE] \
    [--write-baseline] [--update-baseline] [--rules r1,r2] [--rule NAME] \
-   [--list-rules] [--explain RULE] [--bench-out PATH]\n\n\
+   [--list-rules] [--explain RULE]\n\n\
    Exit codes:\n\
   \  0  no findings outside the baseline and no stale baseline entries\n\
   \  1  an error-severity finding outside the baseline, or a stale \
@@ -40,7 +40,6 @@ let () =
   let baseline_path = ref None in
   let write_baseline = ref false in
   let update_baseline = ref false in
-  let bench_out = ref None in
   let rule_names = ref [] in
   let list_rules = ref false in
   let add_rules s =
@@ -73,10 +72,6 @@ let () =
         Arg.String explain,
         "RULE  print the rule's doc, an example finding and the \
          suppression syntax" );
-      ( "--bench-out",
-        Arg.String (fun s -> bench_out := Some s),
-        "PATH  write an E25/lint-wall benchmark record (scan wall-clock) \
-         to PATH" );
     ]
   in
   Arg.parse spec
@@ -107,9 +102,7 @@ let () =
     | Some p -> p
     | None -> Filename.concat !root "lint-baseline.sexp"
   in
-  let t0 = Unix.gettimeofday () in
   let findings = Engine.scan ~rules ~root:!root () in
-  let scan_wall = Unix.gettimeofday () -. t0 in
   if !write_baseline then begin
     let errors =
       List.filter (fun (f : Finding.t) -> f.severity = Finding.Error) findings
@@ -168,27 +161,4 @@ let () =
     stale <> []
     || List.exists (fun (f : Finding.t) -> f.severity = Finding.Error) fresh
   in
-  (match !bench_out with
-  | None -> ()
-  | Some path ->
-    let open Speedscale_obs in
-    let record =
-      (* slint: allow taint-nondet -- wall-clock lands in the sanctioned timing field *)
-      Record.make ~id:"E25/lint-wall"
-        ~params:[ ("rules", Record.P_int (List.length rules)) ]
-        ~counters:
-          [
-            ("sources", List.length (Engine.list_sources ~root:!root));
-            ("findings_fresh", List.length fresh);
-          ]
-        ~verdict:(not failing)
-        ~timing:{ Record.no_timing with wall_s = Some scan_wall }
-        Record.Experiment
-    in
-    Record.write_file ~path
-      {
-        Record.version = Record.schema_version;
-        env = Record.current_env ~jobs:1;
-        records = [ record ];
-      });
   exit (if failing then 1 else 0)

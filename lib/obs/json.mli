@@ -3,7 +3,7 @@
     The encoder is {e canonical}: a given value always renders to the same
     bytes (object fields keep their insertion order, floats print in the
     shortest form that round-trips exactly, indentation is fixed at two
-    spaces).  This is what lets a checked-in [BENCH_*.json] act as a golden
+    spaces).  This is what lets test/bench_golden.json act as a golden
     fixture — any schema or formatting drift shows up as a byte diff.
 
     Deviations from strict JSON, both directions: the bare tokens

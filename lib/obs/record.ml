@@ -45,21 +45,6 @@ let with_wall ~wall_s r =
 let strip_timing r = { r with timing = None }
 
 (* ------------------------------------------------------------------ *)
-(* Resident-memory gauges                                              *)
-(* ------------------------------------------------------------------ *)
-
-let resident_gauge_prefix = "resident_"
-
-let is_resident_gauge name =
-  String.length name > String.length resident_gauge_prefix
-  && String.equal
-       (String.sub name 0 (String.length resident_gauge_prefix))
-       resident_gauge_prefix
-
-let resident_gauges r =
-  List.filter (fun (name, _) -> is_resident_gauge name) r.counters
-
-(* ------------------------------------------------------------------ *)
 (* Equality                                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,12 +1,12 @@
-(** The structured benchmark-result model behind [BENCH_*.json].
+(** The structured benchmark-result model behind [bench/main.exe --json].
 
     One {!t} is one benchmark observation: an experiment verdict or a
     bechamel micro-timing.  The deterministic payload (id, params, metrics,
     counters, verdict) is kept strictly apart from the {!timing} statistics
     so that two runs of the same experiment set can be compared for {e
     result} equality regardless of how fast the machine was — that is what
-    the parallel-runner determinism property and [psched bench-diff] both
-    rely on. *)
+    the parallel-runner determinism property and the smoke-run golden pin
+    ([test/test_bench.ml]) both rely on. *)
 
 type kind =
   | Experiment  (** a table/figure experiment with a CONFIRMED verdict *)
@@ -25,7 +25,7 @@ type timing = {
 }
 
 type t = {
-  id : string;  (** "E2", "E12/yds-n30", ... — the diff join key *)
+  id : string;  (** "E2", "E12/yds-n30", ... — the record key *)
   kind : kind;
   params : (string * param) list;  (** instance sizes, seeds, alpha, ... *)
   metrics : (string * float) list;  (** deterministic measured numbers *)
@@ -65,20 +65,6 @@ val with_wall : wall_s:float -> t -> t
 
 val strip_timing : t -> t
 (** Drop the machine-dependent part; what determinism tests compare. *)
-
-val resident_gauge_prefix : string
-(** ["resident_"].  A counter whose name carries this prefix is a {e
-    resident-memory gauge}: a deterministic high-water count of live
-    state (live intervals, table entries, ...) rather than of work done.
-    [psched bench-diff] gates gauges like timings — a gauge that grows
-    past the threshold between baseline and candidate fails the diff
-    (space regressions are as real as time regressions; see {!Diff}). *)
-
-val is_resident_gauge : string -> bool
-(** Whether a counter name carries {!resident_gauge_prefix}. *)
-
-val resident_gauges : t -> (string * int) list
-(** The record's resident-memory gauge counters, in record order. *)
 
 val equal : t -> t -> bool
 (** Full structural equality (floats via [Float.equal]). *)

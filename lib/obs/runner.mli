@@ -10,7 +10,7 @@
     - {e no shared state}: each task must derive its randomness from its
       own fixed seed ([Speedscale_util.Rand.make]); the runner adds none.
       Tasks that honor this produce byte-identical output at any [jobs]
-      (the determinism property pinned in [test_diff.ml]).
+      (the determinism property pinned in [test_obs.ml]).
 
     Caveat: wall-clock {e timings} measured inside concurrently running
     tasks are noisier than sequential ones — bechamel micro-timings should

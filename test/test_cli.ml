@@ -273,9 +273,14 @@ let test_stream_kill_restore_byte_identical () =
 
 (* Bad input of every kind, on every command, is a one-line diagnostic
    and exit 2 — never an internal error. *)
-let check_exit_2 name args =
+let check_exit_2 ?says name args =
   let code, out = run_capture args in
   Alcotest.(check int) (name ^ ": exit 2") 2 code;
+  Option.iter
+    (fun needle ->
+      Alcotest.(check bool) (name ^ ": says " ^ needle) true
+        (contains out needle))
+    says;
   Alcotest.(check bool)
     (name ^ ": no internal error") false
     (contains out "internal error" || contains out "Raised at");
@@ -297,7 +302,14 @@ let test_bad_input_exits_2 () =
     ];
   with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
       check_exit_2 "stream --delta=-1" [ "stream"; path; "--delta=-1" ];
-      check_exit_2 "stream -a oa on 2 machines" [ "stream"; path; "-a"; "oa" ]);
+      check_exit_2 "stream -a oa on 2 machines" [ "stream"; path; "-a"; "oa" ];
+      (* a flag error, not an input line's: blamed on --workers up front *)
+      check_exit_2 ~says:"--workers must be >= 1"
+        "serve --shards 2 --workers 0"
+        [ "serve"; path; "--shards"; "2"; "--workers"; "0" ];
+      (* periodic checkpoints need somewhere to go *)
+      check_exit_2 ~says:"needs --snapshot-dir" "serve --snapshot-every 7"
+        [ "serve"; path; "--shards"; "2"; "--snapshot-every"; "7" ]);
   with_stream "alpha 3\nmachines 2\nbogus\n" (fun path ->
       List.iter
         (fun cmd ->
@@ -306,7 +318,9 @@ let test_bad_input_exits_2 () =
           "gantt" ]);
   with_instance (fun path ->
       check_exit_2 "run --decisions-only, offline algorithm"
-        [ "run"; path; "--decisions-only"; "-a"; "opt-energy" ]);
+        [ "run"; path; "--decisions-only"; "-a"; "opt-energy" ];
+      check_exit_2 "gantt --width=-5" [ "gantt"; path; "--width=-5" ];
+      check_exit_2 "gantt --width 0" [ "gantt"; path; "--width"; "0" ]);
   with_stream "alpha 3\nmachines 1\njob 0 1 1 5\n" (fun path ->
       with_tmp_dir (fun dir ->
           let code, _ =

@@ -409,9 +409,9 @@ let test_record_read_missing_file () =
 (* Golden fixture                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* bench_golden.json was produced by `bench/main.exe E2 E3 --jobs 2 --json`
-   and checked in.  Decoding it and re-encoding must reproduce the exact
-   bytes — any drift in the schema or the canonical encoder shows up here
+(* bench_golden.json is the smoke run's output (`bench/main.exe E2 E3 E4
+   E5 E10 E20 E27 --jobs 2 --json`), checked in.  Decoding it and
+   re-encoding must reproduce the exact bytes — any drift in the schema or the canonical encoder shows up here
    as a diff against a file under version control. *)
 let test_golden_fixture () =
   let candidates =
