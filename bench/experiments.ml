@@ -1139,7 +1139,6 @@ let e24 () =
                   ("breakpoints", st.breakpoints);
                   ("rejected", !rejected);
                   ("flushed_intervals", m.flushed_intervals);
-                  ("evicted_jobs", m.evicted_jobs);
                   ("finished_slices", m.finished_slices);
                   ("resident_live_intervals", m.max_live_intervals);
                   ("resident_table_entries", m.max_table_entries);

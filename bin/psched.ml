@@ -301,7 +301,9 @@ let run_cmd =
    would throw on later (NaN or negative workloads, deadline <= release,
    ...), plus out-of-order arrivals and headers after the first job, so
    the engines downstream only ever see well-formed, release-ordered
-   arrivals.
+   arrivals with increasing ids (the Arrival_order contract).  A bad
+   --delta is refused before the first line, and a machine pool smaller
+   than the shard count at its 'machines' header.
 
    At the first job line the engine state is built from the headers
    read so far: [start params], where [params i] is shard [i]'s slice of
@@ -311,6 +313,12 @@ let run_cmd =
    stream.  Returns the state; a stream without jobs is an error. *)
 let read_stream ~cmd ~delta ~shards:k ?restored ~start ~on_job ic =
   let fail lineno fmt = die cmd ("line %d: " ^^ fmt) lineno in
+  (* a flag error, reported before any line is read *)
+  Option.iter
+    (fun d ->
+      if not (Float.is_finite d && d > 0.) then
+        die cmd "--delta must be finite and > 0, got %g" d)
+    delta;
   let lineno = ref 0 in
   let alpha = ref None and machines = ref None and state = ref restored in
   let arrivals = ref 0 in
@@ -334,11 +342,6 @@ let read_stream ~cmd ~delta ~shards:k ?restored ~start ~on_job ic =
         | Some m -> m
         | None -> fail lineno "job before the 'machines' header line"
       in
-      if m < k then
-        fail lineno
-          "%d machines cannot be split across %d shards (need machines >= \
-           shards)"
-          m k;
       (* Split the machine pool across the shards: m/k each, the first
          m mod k shards get one more. *)
       let params i =
@@ -373,7 +376,14 @@ let read_stream ~cmd ~delta ~shards:k ?restored ~start ~on_job ic =
            if !arrivals > 0 then
              fail !lineno "'machines' header after the first job";
            match int_of_string_opt v with
-           | Some m when m >= 1 -> machines := Some m
+           | Some m when m >= 1 ->
+             (* a restored service brings its own shard layout *)
+             if Option.is_none restored && m < k then
+               fail !lineno
+                 "%d machines cannot be split across --shards %d (need \
+                  machines >= shards)"
+                 m k;
+             machines := Some m
            | Some m -> fail !lineno "machines must be >= 1, got %d" m
            | None -> fail !lineno "bad machines %S" v)
          | [ "job"; r; d; w; v ] ->

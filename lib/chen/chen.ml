@@ -47,7 +47,7 @@ let build ~machines ~length pairs =
   List.iter
     (fun (id, _) ->
       if Hashtbl.mem ids_seen id then
-        invalid_arg (Fmt.str "Chen.build: duplicate job id %d" id);
+        invalid_arg (Fmt.str "Chen.build: job %d appears twice in the loads" id);
       Hashtbl.add ids_seen id ())
     pairs;
   let arr = Array.of_list pairs in

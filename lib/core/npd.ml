@@ -51,11 +51,11 @@ module Windows = struct
 
   (* Under gc, park wholly-past slots in the slab.  Slots are sorted and
      disjoint per machine, so the flushable ones form a prefix. *)
-  let prepare t (_ : Job.t) ~last_release =
+  let prepare t (job : Job.t) =
     if t.gc then
       for i = 0 to t.machines - 1 do
         let rec drop = function
-          | s :: rest when Pd_core.safely_past ~last_release s.s1 ->
+          | s :: rest when Pd_core.safely_past ~last_release:job.release s.s1 ->
             Pd_core.Slab.push t.finished
               {
                 Schedule.proc = i;

@@ -54,8 +54,9 @@ type decision = Pd_core.decision = {
 }
 
 val arrive : t -> Job.t -> decision
-(** Process one arrival.  Jobs must arrive in non-decreasing release
-    order with distinct ids; raises [Invalid_argument] otherwise.
+(** Process one arrival.  Jobs must meet the arrival contract
+    ({!Speedscale_model.Arrival_order}); raises [Invalid_argument]
+    otherwise.
     Raises [Failure] when a must-finish job has no free slot of usable
     length inside its window. *)
 
@@ -63,7 +64,8 @@ val schedule : t -> Schedule.t
 (** One slice per booked slot (plus the flushed accumulator under gc). *)
 
 val lambdas : t -> (int * float) list
-(** [(job id, λ_j)] in arrival order. *)
+(** [(job id, λ_j)] in arrival order.  Raises {!Pd_core.Bounded_memory}
+    on a [~gc:true] state, which keeps no multipliers. *)
 
 val slots : t -> (float * float * int * float) list list
 (** Per machine, the live booked slots [(t0, t1, job, speed)] sorted by

@@ -38,7 +38,6 @@ type mem_stats = Pd_core.mem_stats = {
   table_entries : int;
   max_table_entries : int;
   flushed_intervals : int;
-  evicted_jobs : int;
   finished_slices : int;
 }
 
@@ -53,7 +52,6 @@ type decision = Pd_core.decision = {
 type history_error = Pd_core.history_error = {
   operation : string;
   flushed_intervals : int;
-  evicted_jobs : int;
 }
 
 exception Bounded_memory = Pd_core.Bounded_memory
@@ -132,7 +130,6 @@ let restore text =
   let alpha = ref None
   and machines = ref None
   and delta = ref None
-  and last_release = ref Float.neg_infinity
   and bounds = ref [||]
   and intervals = ref []
   and jobs = ref [] in
@@ -152,7 +149,9 @@ let restore text =
            | None -> fail lineno "bad machines")
          | [ "delta"; v ] -> delta := Some (parse_float lineno "delta" v)
          | [ "last_release"; v ] ->
-           last_release := parse_float lineno "last_release" v
+           (* implied by the last job line: replaying the jobs restores
+              it *)
+           ignore (parse_float lineno "last_release" v)
          | "bounds" :: rest ->
            bounds :=
              Array.of_list (List.map (parse_float lineno "bound") rest)
@@ -196,7 +195,8 @@ let restore text =
              | "rejected" -> false
              | _ -> fail lineno "bad status"
            in
-           jobs := (job, parse_float lineno "lambda" l, accepted) :: !jobs
+           jobs :=
+             (lineno, job, parse_float lineno "lambda" l, accepted) :: !jobs
          | _ -> fail lineno (Fmt.str "unrecognized %S" line));
   let alpha =
     match !alpha with Some a -> a | None -> failwith "Pd.restore: missing alpha"
@@ -211,10 +211,11 @@ let restore text =
   in
   let t = create ~delta ~power:(Power.make alpha) ~machines () in
   R.load_timeline (Core.relax t) ~bounds:!bounds ~loads:!intervals;
-  Core.set_last_release t !last_release;
   List.iter
-    (fun ((job : Job.t), lambda, accepted) ->
-      Core.record t job ~lambda ~accepted)
+    (fun (lineno, job, lambda, accepted) ->
+      let err = "Pd.restore: line " ^ string_of_int lineno in
+      try Core.record t ~err job ~lambda ~accepted
+      with Invalid_argument m -> failwith m)
     (List.rev !jobs);
   t
 

@@ -63,14 +63,14 @@ val create :
     of the current release (by a safety margin of several boundary
     tolerances, DESIGN.md section 5) has its realized slices flushed
     into a finished-schedule accumulator and its committed-load state
-    dropped, and the dup-id/outcome table entries of jobs whose
-    deadlines are equally past are evicted.  Decisions, multipliers and
-    the final {!schedule} are identical to a [~gc:false] state fed the
-    same stream; what changes is visibility: {!boundaries},
-    {!interval_loads} and {!decision.assignment} indices cover only the
-    {e live} intervals, duplicate-id detection only covers jobs whose
-    windows are still live, and {!snapshot} / {!certificate} (which need
-    the full history) raise [Invalid_argument].  Use {!mem} to observe
+    dropped; no per-job history (seen jobs, outcomes, multipliers) is
+    kept at all.  Decisions, multipliers and the final {!schedule} are
+    identical to a [~gc:false] state fed the same stream; what changes
+    is visibility: {!boundaries}, {!interval_loads} and
+    {!decision.assignment} indices cover only the {e live} intervals,
+    and {!snapshot}, {!certificate} and {!lambdas} (which need the full
+    history) raise {!Bounded_memory}.  The arrival contract is the same
+    O(1) check either way ({!arrive}).  Use {!mem} to observe
     residency. *)
 
 type arrival_stats = {
@@ -105,19 +105,23 @@ val stats : t -> stats
 type mem_stats = {
   live_intervals : int;  (** atomic intervals currently resident *)
   max_live_intervals : int;  (** high-water mark of [live_intervals] *)
-  table_entries : int;  (** dup-id + outcome hash-table entries resident *)
-  max_table_entries : int;  (** high-water mark of [table_entries] *)
+  table_entries : int;
+      (** outcome-table entries resident: one per arrival without gc,
+          always [0] with gc *)
+  max_table_entries : int;
+      (** high-water mark of [table_entries] (the table never shrinks,
+          so the two agree) *)
   flushed_intervals : int;  (** intervals GC has flushed, cumulative *)
-  evicted_jobs : int;  (** table entries GC has evicted, cumulative *)
   finished_slices : int;
       (** schedule slices parked in the finished accumulator *)
 }
 
 val mem : t -> mem_stats
-(** Residency gauges.  With [~gc:false] the flushed/evicted counters stay
-    [0] and the live counts grow with the instance; with [~gc:true] the
-    live counts are proportional to the live window — the property E24's
-    [resident_*] counters record (doc/PERF.md). *)
+(** Residency gauges.  With [~gc:false] the flushed counter stays [0]
+    and the live and table counts grow with the instance; with
+    [~gc:true] the live counts are proportional to the live window and
+    the table counts stay [0] — the property E24's [resident_*]
+    counters record (doc/PERF.md). *)
 
 type decision = {
   job : Job.t;
@@ -133,8 +137,10 @@ type decision = {
 }
 
 val arrive : t -> Job.t -> decision
-(** Process one arrival.  Jobs must arrive in non-decreasing release order
-    with distinct ids; raises [Invalid_argument] otherwise.
+(** Process one arrival.  Jobs must meet the arrival contract
+    ({!Speedscale_model.Arrival_order}: ids strictly increase, releases
+    never decrease); raises [Invalid_argument] otherwise, with the state
+    unchanged.
 
     Numerical edges (DESIGN.md section 5): a release or deadline within
     the boundary tolerance of an existing boundary snaps to it instead of
@@ -167,22 +173,23 @@ val schedule : t -> Schedule.t
     [~gc:false] state would realize. *)
 
 val lambdas : t -> (int * float) list
-(** [(job id, λ̃_j)] in arrival order. *)
+(** [(job id, λ̃_j)] in arrival order.  Raises {!Bounded_memory} on a
+    [~gc:true] state, which keeps no multipliers. *)
 
 type history_error = Pd_core.history_error = {
-  operation : string;  (** ["Pd.certificate"] or ["Pd.snapshot"] *)
+  operation : string;
+      (** ["Pd.certificate"], ["Pd.snapshot"] or ["Pd.lambdas"] *)
   flushed_intervals : int;  (** intervals GC had flushed at the call *)
-  evicted_jobs : int;  (** table entries GC had evicted at the call *)
 }
 (** Why a full-history operation is unavailable on a bounded-memory
-    ([~gc:true]) state: the flushed prefix is gone.  The counters say how
-    much history was dropped, so callers can report precisely instead of
-    guessing.  Render with {!Pd_core.pp_history_error}. *)
+    ([~gc:true]) state: the flushed prefix is gone.  The counter says how
+    much of the timeline was dropped, so callers can report precisely
+    instead of guessing.  Render with {!Pd_core.pp_history_error}. *)
 
 exception Bounded_memory of history_error
 (** The same exception as {!Pd_core.Bounded_memory} (rebound, not
-    redeclared).  Raised by {!snapshot} and {!certificate} on a
-    [~gc:true] state.
+    redeclared).  Raised by {!snapshot}, {!certificate} and {!lambdas}
+    on a [~gc:true] state.
     Prefer the [_result] variants in new code; the exception exists for
     call sites that treat the situation as a programming error. *)
 

@@ -13,12 +13,11 @@ let same_boundary a b = Feq.approx ~atol:boundary_tol ~rtol:boundary_tol a b
 
 (* "Wholly in the past", robustly: a boundary [hi] may be forgotten only
    when it trails [last_release] by a 4x boundary-tolerance margin (plus
-   the 1e-12 arrival-order slack).  A future release can undershoot
-   [last_release] by at most 1e-12, and a future boundary within the snap
-   tolerance of a retained boundary must still find it — the margin makes
-   it impossible for any future boundary to land at, below, or within
-   snapping distance of a flushed boundary, so flushing can never change
-   a decision.  See DESIGN.md section 5. *)
+   a 1e-12 guard).  Releases never decrease (Arrival_order), and a future
+   boundary within the snap tolerance of a retained boundary must still
+   find it — the margin makes it impossible for any future boundary to
+   land at, below, or within snapping distance of a flushed boundary, so
+   flushing can never change a decision.  See DESIGN.md section 5. *)
 let safely_past ~last_release hi =
   let scale = 1.0 +. Float.max (Float.abs hi) (Float.abs last_release) in
   last_release -. hi > (4.0 *. boundary_tol *. scale) +. Feq.tol_guard
@@ -45,7 +44,6 @@ type mem_stats = {
   table_entries : int;
   max_table_entries : int;
   flushed_intervals : int;
-  evicted_jobs : int;
   finished_slices : int;
 }
 
@@ -57,67 +55,15 @@ type decision = {
   assignment : (int * float) list;
 }
 
-type history_error = {
-  operation : string;
-  flushed_intervals : int;
-  evicted_jobs : int;
-}
+type history_error = { operation : string; flushed_intervals : int }
 
 exception Bounded_memory of history_error
 
 let pp_history_error ppf (e : history_error) =
   Fmt.pf ppf
     "%s needs the full history; this state runs with ~gc:true (bounded \
-     memory): %d intervals flushed, %d jobs evicted"
-    e.operation e.flushed_intervals e.evicted_jobs
-
-(* Binary min-heap of (deadline, job id): the eviction order for the
-   dup-id/outcome tables under GC.  Only ever holds live-window jobs. *)
-module Expiry = struct
-  type t = { mutable a : (float * int) array; mutable n : int }
-
-  let create () = { a = [||]; n = 0 }
-  let key h i = fst h.a.(i)
-
-  let swap h i j =
-    let x = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- x
-
-  let push h d id =
-    if h.n = Array.length h.a then begin
-      let cap = Stdlib.max 8 (2 * Array.length h.a) in
-      let a = Array.make cap (0.0, 0) in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- (d, id);
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && key h ((!i - 1) / 2) > key h !i do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
-
-  let pop h =
-    h.n <- h.n - 1;
-    swap h 0 h.n;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.n && key h l < key h !m then m := l;
-      if r < h.n && key h r < key h !m then m := r;
-      if !m <> !i then begin
-        swap h !i !m;
-        i := !m
-      end
-      else continue := false
-    done
-end
+     memory): %d intervals flushed"
+    e.operation e.flushed_intervals
 
 (* Flushed slices parked as a flat float array (stride 5: proc, t0, t1,
    job, speed).  A soak-length stream retains millions of slices; kept as
@@ -248,9 +194,9 @@ module type RELAXATION = sig
   val name : string
   val create : obj -> err:string -> gc:bool -> t
 
-  val prepare : t -> Job.t -> last_release:float -> unit
-  (** Timeline refinement (and, under gc, flushing of the wholly-past
-      prefix) before pricing the arrival. *)
+  val prepare : t -> Job.t -> unit
+  (** Timeline refinement (and, under gc, flushing of the prefix wholly
+      past the job's release) before pricing the arrival. *)
 
   val price : t -> Job.t -> reference:bool -> verdict
   (** Price the arrival against the committed state and, on acceptance,
@@ -272,7 +218,8 @@ module type CERTIFICATE = sig
 
   val evaluate : obj -> jobs:Job.t list -> lambda_of:(int -> float) -> float
   (** A certified lower bound on the optimal cost of the instance made of
-      [jobs] (arrival order), given the multipliers the run fixed. *)
+      [jobs] (arrival order — (release, id) order under the arrival
+      contract), given the multipliers the run fixed. *)
 end
 
 (* The default certificate: the Lagrangian dual bound g(lambda) of the
@@ -289,16 +236,16 @@ module Lagrangian (O : OBJECTIVE) = struct
     match jobs with
     | [] -> 0.0
     | seen ->
-      (* Instance.make re-ranks ids by (release, id); mirror that order to
-         line the multipliers up with the re-ranked jobs. *)
-      let sorted = List.stable_sort Job.compare_release seen in
+      (* Under the arrival contract the arrival order is (release, id)
+         order, Instance.make's ranking, so the multipliers line up with
+         the re-ranked jobs as they are. *)
       let inst =
-        Instance.make ~power:(O.power obj) ~machines:(O.machines obj) sorted
+        Instance.make ~power:(O.power obj) ~machines:(O.machines obj) seen
       in
       let lambda =
-        Array.of_list (List.map (fun (j : Job.t) -> lambda_of j.id) sorted)
+        Array.of_list (List.map (fun (j : Job.t) -> lambda_of j.id) seen)
       in
-      (Dual.evaluate inst (Timeline.of_jobs sorted) ~lambda).value
+      (Dual.evaluate inst (Timeline.of_jobs seen) ~lambda).value
 end
 
 (* ------------------------------------------------------------------ *)
@@ -315,15 +262,14 @@ struct
     relax : R.t;
     err : string;
     gc : bool;
-    expiry : Expiry.t;
-    mutable seen : Job.t list;  (* reversed arrival order; empty under GC *)
-    seen_ids : (int, unit) Hashtbl.t;
+    order : Arrival_order.t;
+    (* Full history, kept only without gc: PD fixes lambda_j at j's
+       arrival and never reads j's bookkeeping again — only the
+       full-history surfaces (snapshot, certificate, lambdas, accepted)
+       do, and they all refuse a gc state. *)
+    mutable seen : Job.t list;  (* reversed arrival order *)
     outcomes : (int, float * bool) Hashtbl.t;  (* id -> lambda, accepted *)
-    mutable lambda_rev : (int * float) list;
-    mutable accepted_rev : int list;
     mutable rejected_rev : int list;
-    mutable last_release : float;
-    mutable evicted_jobs : int;
     (* instrumentation *)
     clock : (unit -> float) option;
     mutable observer : (arrival_stats -> unit) option;
@@ -331,7 +277,6 @@ struct
     mutable probes_total : int;
     mutable intervals_total : int;
     mutable breakpoints_total : int;
-    mutable max_table : int;
   }
 
   let create ?clock ?(gc = false) ~err obj =
@@ -340,22 +285,16 @@ struct
       relax = R.create obj ~err ~gc;
       err;
       gc;
-      expiry = Expiry.create ();
+      order = Arrival_order.create ();
       seen = [];
-      seen_ids = Hashtbl.create 64;
       outcomes = Hashtbl.create 64;
-      lambda_rev = [];
-      accepted_rev = [];
       rejected_rev = [];
-      last_release = Float.neg_infinity;
-      evicted_jobs = 0;
       clock;
       observer = None;
       arrivals = 0;
       probes_total = 0;
       intervals_total = 0;
       breakpoints_total = 0;
-      max_table = 0;
     }
 
   let obj t = t.obj
@@ -372,35 +311,19 @@ struct
       breakpoints = t.breakpoints_total;
     }
 
+  (* The outcome table only ever grows (and stays empty under gc), so
+     its size is its own high-water mark. *)
   let mem t =
     let rm = R.mem t.relax in
+    let table = Hashtbl.length t.outcomes in
     {
       live_intervals = rm.r_live;
       max_live_intervals = rm.r_max_live;
-      table_entries = Hashtbl.length t.seen_ids + Hashtbl.length t.outcomes;
-      max_table_entries = t.max_table;
+      table_entries = table;
+      max_table_entries = table;
       flushed_intervals = rm.r_flushed;
-      evicted_jobs = t.evicted_jobs;
       finished_slices = rm.r_finished_slices;
     }
-
-  let evict_tables t =
-    if t.gc then begin
-      let evicting = ref true in
-      while !evicting do
-        match Expiry.peek t.expiry with
-        | Some (d, id) when safely_past ~last_release:t.last_release d ->
-          Expiry.pop t.expiry;
-          Hashtbl.remove t.seen_ids id;
-          Hashtbl.remove t.outcomes id;
-          t.evicted_jobs <- t.evicted_jobs + 1
-        | _ -> evicting := false
-      done
-    end
-
-  let bump_table t =
-    let tables = Hashtbl.length t.seen_ids + Hashtbl.length t.outcomes in
-    if tables > t.max_table then t.max_table <- tables
 
   let emit_stats t (d : decision) ~(ra : relax_arrival) ~t0 =
     t.arrivals <- t.arrivals + 1;
@@ -421,61 +344,44 @@ struct
           wall_s;
         }
 
+  (* Bookkeeping of one outcome: [rejected_rev] always ([schedule]
+     reports it), the history only without gc. *)
+  let note t (job : Job.t) ~lambda ~accepted =
+    if not accepted then t.rejected_rev <- job.id :: t.rejected_rev;
+    if not t.gc then begin
+      t.seen <- job :: t.seen;
+      Hashtbl.replace t.outcomes job.id (lambda, accepted)
+    end
+
   let arrive_with ~reference t (job : Job.t) =
     let t0 = now t in
-    if Hashtbl.mem t.seen_ids job.id then
-      invalid_arg (t.err ^ ".arrive: duplicate job id");
-    if job.release < t.last_release -. Feq.tol_guard then
-      invalid_arg (t.err ^ ".arrive: jobs must arrive in release order");
-    t.last_release <- Float.max t.last_release job.release;
-    Hashtbl.add t.seen_ids job.id ();
-    if t.gc then Expiry.push t.expiry job.deadline job.id
-    else t.seen <- job :: t.seen;
-    evict_tables t;
-    R.prepare t.relax job ~last_release:t.last_release;
-    let verdict = R.price t.relax job ~reference in
-    let w = job.workload in
-    let d =
-      match verdict with
-      | Reject lambda ->
-        let planned_speed = O.speed_of_price t.obj ~workload:w lambda in
-        t.lambda_rev <- (job.id, lambda) :: t.lambda_rev;
-        Hashtbl.replace t.outcomes job.id (lambda, false);
-        bump_table t;
-        t.rejected_rev <- job.id :: t.rejected_rev;
-        { job; accepted = false; lambda; planned_speed; assignment = [] }
-      | Accept (lambda, assignment) ->
-        let planned_speed = O.speed_of_price t.obj ~workload:w lambda in
-        t.lambda_rev <- (job.id, lambda) :: t.lambda_rev;
-        Hashtbl.replace t.outcomes job.id (lambda, true);
-        bump_table t;
-        t.accepted_rev <- job.id :: t.accepted_rev;
-        { job; accepted = true; lambda; planned_speed; assignment }
+    Arrival_order.admit ~err:(t.err ^ ".arrive") t.order job;
+    R.prepare t.relax job;
+    let lambda, accepted, assignment =
+      match R.price t.relax job ~reference with
+      | Reject lambda -> (lambda, false, [])
+      | Accept (lambda, assignment) -> (lambda, true, assignment)
     in
+    note t job ~lambda ~accepted;
+    let planned_speed = O.speed_of_price t.obj ~workload:job.workload lambda in
+    let d = { job; accepted; lambda; planned_speed; assignment } in
     emit_stats t d ~ra:(R.take_arrival t.relax) ~t0;
     d
 
   let arrive t job = arrive_with ~reference:false t job
   let arrive_reference t job = arrive_with ~reference:true t job
   let schedule t = R.schedule t.relax ~rejected:(List.rev t.rejected_rev)
-  let lambdas t = List.rev t.lambda_rev
-  let accepted t = List.rev t.accepted_rev
   let rejected t = List.rev t.rejected_rev
   let seen_jobs t = List.rev t.seen
   let outcome t id = Hashtbl.find_opt t.outcomes id
-  let last_release t = t.last_release
-  let set_last_release t x = t.last_release <- x
+  let last_release t = Arrival_order.last_release t.order
 
   (* Restore support: replay one recorded outcome into the bookkeeping
      (callers load the relaxation state separately).  Call in arrival
-     order. *)
-  let record t (job : Job.t) ~lambda ~accepted =
-    t.seen <- job :: t.seen;
-    Hashtbl.replace t.seen_ids job.id ();
-    Hashtbl.replace t.outcomes job.id (lambda, accepted);
-    t.lambda_rev <- (job.id, lambda) :: t.lambda_rev;
-    if accepted then t.accepted_rev <- job.id :: t.accepted_rev
-    else t.rejected_rev <- job.id :: t.rejected_rev
+     order; the arrival contract applies as on [arrive]. *)
+  let record t ~err (job : Job.t) ~lambda ~accepted =
+    Arrival_order.admit ~err t.order job;
+    note t job ~lambda ~accepted
 
   let history_guard t operation =
     if t.gc then
@@ -483,19 +389,32 @@ struct
         {
           operation = t.err ^ "." ^ operation;
           flushed_intervals = (R.mem t.relax).r_flushed;
-          evicted_jobs = t.evicted_jobs;
         }
     else Ok ()
+
+  let full_history t operation =
+    match history_guard t operation with
+    | Ok () -> seen_jobs t
+    | Error e -> raise (Bounded_memory e)
+
+  let lambda_of t id = fst (Hashtbl.find t.outcomes id)
+
+  let lambdas t =
+    List.map
+      (fun (j : Job.t) -> (j.id, lambda_of t j.id))
+      (full_history t "lambdas")
+
+  let accepted t =
+    List.filter_map
+      (fun (j : Job.t) ->
+        if snd (Hashtbl.find t.outcomes j.id) then Some j.id else None)
+      (full_history t "accepted")
 
   let certificate_result t =
     match history_guard t "certificate" with
     | Error e -> Error e
     | Ok () ->
-      Ok
-        (C.evaluate t.obj ~jobs:(List.rev t.seen) ~lambda_of:(fun id ->
-             match Hashtbl.find_opt t.outcomes id with
-             | Some (l, _) -> l
-             | None -> 0.0))
+      Ok (C.evaluate t.obj ~jobs:(seen_jobs t) ~lambda_of:(lambda_of t))
 
   let certificate t =
     match certificate_result t with
@@ -683,8 +602,8 @@ module Interval (O : OBJECTIVE) = struct
     | Some x when safely_past ~last_release x -> t.lone <- None
     | _ -> ()
 
-  let prepare t (job : Job.t) ~last_release =
-    if t.gc then gc_flush t ~last_release;
+  let prepare t (job : Job.t) =
+    if t.gc then gc_flush t ~last_release:job.release;
     insert_boundary t job.release;
     insert_boundary t job.deadline;
     let live = Tline.cardinal t.live in

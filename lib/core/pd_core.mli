@@ -19,9 +19,10 @@
       ({!Lagrangian} evaluates [g(λ)], a lower bound on OPT by weak
       duality, exactly as E11's duality chain does).
 
-    {!Make} ties them into the generic online loop: admission checks,
-    bounded-memory table eviction, decision bookkeeping, observer
-    instrumentation, and certificate reporting.  {!Pd} instantiates
+    {!Make} ties them into the generic online loop: the arrival contract
+    ({!Speedscale_model.Arrival_order}), decision bookkeeping (the full
+    history only without gc), observer instrumentation, and certificate
+    reporting.  {!Pd} instantiates
     [Make (Energy_value) (Interval (Energy_value)) (Lagrangian
     (Energy_value))] and is decision-bit-identical to the pre-framework
     code (the qcheck equivalence suite in [test_core.ml] pins this); the
@@ -71,7 +72,6 @@ type mem_stats = {
   table_entries : int;
   max_table_entries : int;
   flushed_intervals : int;
-  evicted_jobs : int;
   finished_slices : int;
 }
 
@@ -86,15 +86,14 @@ type decision = {
 type history_error = {
   operation : string;  (** e.g. ["Pd.certificate"] *)
   flushed_intervals : int;  (** intervals GC had flushed at the call *)
-  evicted_jobs : int;  (** table entries GC had evicted at the call *)
 }
 (** Why a full-history operation is unavailable on a bounded-memory
     ([~gc:true]) state: the flushed prefix is gone. *)
 
 exception Bounded_memory of history_error
 (** Raised by the exception-style full-history entry points
-    ([certificate], [snapshot]) on a [~gc:true] state; the [_result]
-    variants return [Error] instead. *)
+    ([certificate], [snapshot], [lambdas], [accepted]) on a [~gc:true]
+    state; the [_result] variants return [Error] instead. *)
 
 val pp_history_error : Format.formatter -> history_error -> unit
 
@@ -171,9 +170,9 @@ module type RELAXATION = sig
   val name : string
   val create : obj -> err:string -> gc:bool -> t
 
-  val prepare : t -> Job.t -> last_release:float -> unit
-  (** Timeline refinement (and, under gc, flushing of the wholly-past
-      prefix) before pricing the arrival. *)
+  val prepare : t -> Job.t -> unit
+  (** Timeline refinement (and, under gc, flushing of the prefix wholly
+      past the job's release) before pricing the arrival. *)
 
   val price : t -> Job.t -> reference:bool -> verdict
   (** Price the arrival against the committed state and, on acceptance,
@@ -195,7 +194,8 @@ module type CERTIFICATE = sig
 
   val evaluate : obj -> jobs:Job.t list -> lambda_of:(int -> float) -> float
   (** A certified lower bound on the optimal cost of the instance made of
-      [jobs] (arrival order), given the multipliers the run fixed. *)
+      [jobs] (arrival order — (release, id) order under the arrival
+      contract), given the multipliers the run fixed. *)
 end
 
 module Lagrangian (O : OBJECTIVE) : CERTIFICATE with type obj = O.t
@@ -221,11 +221,19 @@ module Make
   val gc_enabled : t -> bool
 
   val arrive : t -> Job.t -> decision
+  (** Raises [Invalid_argument] (prefixed ["<err>.arrive"]) when the job
+      breaks the arrival contract ({!Speedscale_model.Arrival_order}). *)
+
   val arrive_reference : t -> Job.t -> decision
 
   val schedule : t -> Schedule.t
+
   val lambdas : t -> (int * float) list
+  (** Arrival order.  Raises {!Bounded_memory} on a [~gc:true] state. *)
+
   val accepted : t -> int list
+  (** Arrival order.  Raises {!Bounded_memory} on a [~gc:true] state. *)
+
   val rejected : t -> int list
   val seen_jobs : t -> Job.t list  (** arrival order; [[]] under gc *)
 
@@ -244,11 +252,12 @@ module Make
 
   (** Restore support (native snapshot formats): *)
 
-  val set_last_release : t -> float -> unit
-
-  val record : t -> Job.t -> lambda:float -> accepted:bool -> unit
+  val record :
+    t -> err:string -> Job.t -> lambda:float -> accepted:bool -> unit
   (** Replay one recorded outcome into the bookkeeping (callers load the
-      relaxation state separately).  Call in arrival order. *)
+      relaxation state separately).  Call in arrival order; raises
+      [Invalid_argument] (prefixed with [err], e.g. ["Pd.restore: line
+      7"]) when the job breaks the arrival contract. *)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -90,6 +90,7 @@ let parse_snapshot s =
   and alpha = ref None
   and machines = ref None
   and delta = ref None
+  and order = Arrival_order.create ()
   and jobs_rev = ref [] in
   let parse_float what lineno v =
     match float_of_string_opt v with
@@ -108,10 +109,14 @@ let parse_snapshot s =
       else
         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
         | [ "engine"; name ] -> engine := Some name
-        | [ "alpha"; v ] -> alpha := Some (parse_float "alpha" lineno v)
+        | [ "alpha"; v ] -> (
+          match Power.make (parse_float "alpha" lineno v) with
+          | p -> alpha := Some p
+          | exception Invalid_argument m -> fail lineno "%s" m)
         | [ "machines"; v ] -> (
           match int_of_string_opt v with
-          | Some m -> machines := Some m
+          | Some m when m >= 1 -> machines := Some m
+          | Some m -> fail lineno "machines must be >= 1, got %d" m
           | None -> fail lineno "bad machines %S" v)
         | [ "delta"; v ] -> delta := Some (parse_float "delta" lineno v)
         | [ "job"; id; r; d; w; v ] ->
@@ -124,12 +129,18 @@ let parse_snapshot s =
             if v = "inf" then Float.infinity
             else parse_float "value" lineno v
           in
-          jobs_rev :=
-            Job.make ~id ~release:(parse_float "release" lineno r)
-              ~deadline:(parse_float "deadline" lineno d)
-              ~workload:(parse_float "workload" lineno w)
-              ~value
-            :: !jobs_rev
+          let release = parse_float "release" lineno r
+          and deadline = parse_float "deadline" lineno d
+          and workload = parse_float "workload" lineno w in
+          (* the engine re-checks on replay; checking here too puts the
+             line number on the message *)
+          let err = "Online.restore: line " ^ string_of_int lineno in
+          (match Job.make ~id ~release ~deadline ~workload ~value with
+          | j ->
+            (try Arrival_order.admit ~err order j
+             with Invalid_argument m -> failwith m);
+            jobs_rev := j :: !jobs_rev
+          | exception Invalid_argument m -> fail lineno "%s" m)
         | _ -> fail lineno "unrecognized %S" line)
     lines;
   let need what = function
@@ -139,8 +150,7 @@ let parse_snapshot s =
   {
     s_engine = need "engine" !engine;
     s_params =
-      params ?delta:!delta
-        ~power:(Power.make (need "alpha" !alpha))
+      params ?delta:!delta ~power:(need "alpha" !alpha)
         ~machines:(need "machines" !machines) ();
     s_jobs = List.rev !jobs_rev;
   }
@@ -166,8 +176,8 @@ module type ONLINE = sig
   val restore : string -> state
 end
 
-(* What each concrete algorithm provides; [Make] adds the uniform
-   arrival validation, seen-jobs recording and replay-based
+(* What each concrete algorithm provides; [Make] adds the arrival
+   contract (Arrival_order), seen-jobs recording and replay-based
    snapshot/restore on top. *)
 module type CORE = sig
   val name : string
@@ -191,9 +201,7 @@ module Make (C : CORE) : ONLINE = struct
   type state = {
     params : params;
     core : C.core;
-    seen_ids : (int, unit) Hashtbl.t;
-    mutable last_release : float;
-    mutable started : bool;
+    order : Arrival_order.t;
     mutable seen_rev : Job.t list;  (** original arrivals, newest first *)
   }
 
@@ -205,23 +213,13 @@ module Make (C : CORE) : ONLINE = struct
     {
       params = p;
       core = C.create_core p;
-      seen_ids = Hashtbl.create 16;
-      last_release = Float.neg_infinity;
-      started = false;
+      order = Arrival_order.create ();
       seen_rev = [];
     }
 
   let arrive st (j : Job.t) =
-    if Hashtbl.mem st.seen_ids j.id then
-      invalid_arg (Fmt.str "Online.arrive: duplicate job id %d" j.id);
-    if st.started && j.release < st.last_release then
-      invalid_arg
-        (Fmt.str "Online.arrive: job %d released at %g before current time %g"
-           j.id j.release st.last_release);
+    Arrival_order.admit ~err:"Online.arrive" st.order j;
     let d = C.arrive_core st.core j in
-    Hashtbl.replace st.seen_ids j.id ();
-    st.last_release <- j.release;
-    st.started <- true;
     st.seen_rev <- j :: st.seen_rev;
     d
 
@@ -236,7 +234,10 @@ module Make (C : CORE) : ONLINE = struct
       failwith
         (Fmt.str "Online.restore: snapshot is for engine %s, not %s"
            parsed.s_engine name);
-    let st = create parsed.s_params in
+    let st =
+      try create parsed.s_params
+      with Invalid_argument m -> failwith ("Online.restore: " ^ m)
+    in
     List.iter (fun j -> ignore (arrive st j)) parsed.s_jobs;
     st
 end
@@ -411,10 +412,10 @@ struct
     match core.jobs_rev with
     | [] -> Schedule.make ~machines:core.p.machines ~rejected:[] []
     | jobs_rev ->
-      (* Arrivals come in non-decreasing release order, so this sorted
-         view is the arrival order modulo id ties — and [Instance.make]
-         re-sorts with the same comparator, so rank i is ordered.(i). *)
-      let ordered = List.stable_sort Job.compare_release (List.rev jobs_rev) in
+      (* Under the arrival contract the arrival order is already sorted
+         by (release, id) — [Instance.make]'s ranking — so rank i is
+         ordered.(i). *)
+      let ordered = List.rev jobs_rev in
       let viewed =
         if S.must_finish then
           List.map

@@ -104,8 +104,10 @@ module type ONLINE = sig
   val create : params -> state
 
   val arrive : state -> Job.t -> decision
-  (** Process one arrival.  Jobs must arrive in non-decreasing release
-      order with distinct ids; raises [Invalid_argument] otherwise. *)
+  (** Process one arrival.  Jobs must meet the arrival contract
+      ({!Speedscale_model.Arrival_order}: ids strictly increase,
+      releases never decrease); raises [Invalid_argument] otherwise,
+      with the state unchanged. *)
 
   val current_plan : state -> Schedule.t
   (** Committed past plus the standing plan for all known remaining work,
@@ -209,7 +211,9 @@ val engine_of : t -> engine
 val restore : string -> t
 (** Reads the [engine <name>] header and dispatches to that engine's
     [restore].  Raises [Failure] on an unknown engine or malformed
-    snapshot. *)
+    snapshot — a bad header value, a job [Job.make] refuses, or job
+    lines that break the arrival contract are reported with their line
+    number ["Online.restore: line N: …"]. *)
 
 (* ------------------------------------------------------------------ *)
 (* The batch fold                                                       *)

@@ -35,11 +35,11 @@ type t = {
   plan : plan_fn;
   admit : admission_sp;
   must_finish : bool;
+  order : Arrival_order.t;
   mutable now : float;
   mutable started : bool;
   remaining : (int, float) Hashtbl.t;  (* accepted unfinished id -> work *)
   accepted : (int, Job.t) Hashtbl.t;  (* id -> stored (possibly viewed) job *)
-  seen_ids : (int, unit) Hashtbl.t;
   mutable seen_rev : Job.t list;  (* stored arrivals, newest first *)
   mutable rejected_rev : int list;
   mutable executed : Schedule.slice list;  (* committed, newest batch first *)
@@ -54,11 +54,11 @@ let start ~machines ~plan ?(admit = admit_all) ?(must_finish = false) () =
     plan;
     admit;
     must_finish;
+    order = Arrival_order.create ();
     now = Float.neg_infinity;
     started = false;
     remaining = Hashtbl.create 16;
     accepted = Hashtbl.create 16;
-    seen_ids = Hashtbl.create 16;
     seen_rev = [];
     rejected_rev = [];
     executed = [];
@@ -94,12 +94,7 @@ let execute t ~from ~until =
     t.executed <- executed @ t.executed
 
 let step t (j : Job.t) =
-  if Hashtbl.mem t.seen_ids j.id then
-    invalid_arg (Fmt.str "Oa_engine.step: duplicate job id %d" j.id);
-  if t.started && j.release < t.now then
-    invalid_arg
-      (Fmt.str "Oa_engine.step: job %d released at %g before current time %g"
-         j.id j.release t.now);
+  Arrival_order.admit ~err:"Oa_engine.step" t.order j;
   if t.started && j.release > t.now then
     execute t ~from:t.now ~until:(Some j.release);
   t.now <- j.release;
@@ -110,7 +105,6 @@ let step t (j : Job.t) =
         ~workload:j.workload ~value:Float.infinity
     else j
   in
-  Hashtbl.replace t.seen_ids j.id ();
   t.seen_rev <- stored :: t.seen_rev;
   let candidate = adjusted ~now:t.now stored ~remaining:stored.workload in
   let plan = plan_jobs t ~now:t.now @ [ candidate ] in

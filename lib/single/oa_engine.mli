@@ -64,9 +64,9 @@ val start :
 
 val step : t -> Job.t -> verdict
 (** Process one arrival: execute the standing plan up to the job's release
-    time, then run the admission test.  Jobs must arrive in non-decreasing
-    release order with distinct ids; raises [Invalid_argument]
-    otherwise. *)
+    time, then run the admission test.  Jobs must meet the arrival
+    contract ({!Speedscale_model.Arrival_order}: ids strictly increase,
+    releases never decrease); raises [Invalid_argument] otherwise. *)
 
 val now : t -> float
 (** Release time of the last arrival ([neg_infinity] before the first). *)

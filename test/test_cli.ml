@@ -303,6 +303,11 @@ let test_bad_input_exits_2 () =
   with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
       check_exit_2 "stream --delta=-1" [ "stream"; path; "--delta=-1" ];
       check_exit_2 "stream -a oa on 2 machines" [ "stream"; path; "-a"; "oa" ];
+      (* flag and header errors are not blamed on the first job line *)
+      check_exit_2 ~says:"psched stream: --delta must be finite and > 0"
+        "stream --delta nan" [ "stream"; path; "--delta"; "nan" ];
+      check_exit_2 ~says:"line 2: 2 machines cannot be split across --shards 4"
+        "serve, default --shards 4 on 2 machines" [ "serve"; path ];
       (* a flag error, not an input line's: blamed on --workers up front *)
       check_exit_2 ~says:"--workers must be >= 1"
         "serve --shards 2 --workers 0"

@@ -139,10 +139,12 @@ let test_arrival_order_enforced () =
   let pd = Pd.create ~power:p2 ~machines:1 () in
   ignore (Pd.arrive pd (mk_job ~id:0 ~r:5.0 ~d:6.0 ~w:1.0 ()));
   Alcotest.check_raises "out of order"
-    (Invalid_argument "Pd.arrive: jobs must arrive in release order")
+    (Invalid_argument
+       "Pd.arrive: job 1 released at 1, before the previous release 5")
     (fun () -> ignore (Pd.arrive pd (mk_job ~id:1 ~r:1.0 ~d:6.0 ~w:1.0 ())));
   Alcotest.check_raises "duplicate id"
-    (Invalid_argument "Pd.arrive: duplicate job id") (fun () ->
+    (Invalid_argument "Pd.arrive: job id 0 does not exceed the previous id 0")
+    (fun () ->
       ignore (Pd.arrive pd (mk_job ~id:0 ~r:6.0 ~d:7.0 ~w:1.0 ())))
 
 (* ------------------------------------------------------------------ *)
@@ -417,10 +419,9 @@ let prop_pd_gc_long_stream_oracle =
         QCheck.Test.fail_reportf "cost %.17g (gc) vs %.17g (full)" cg cp
       else true)
 
-(* Satellite invariant for the dup-id/outcome tables: a stream of jobs
-   whose windows expire before the next arrival must keep every residency
-   gauge flat — O(1) live intervals and table entries across 10^4
-   arrivals, everything else flushed/evicted. *)
+(* A stream of jobs whose windows expire before the next arrival must
+   keep every residency gauge flat under gc — O(1) live intervals and no
+   per-job table at all across 10^4 arrivals, everything else flushed. *)
 let test_gc_flat_residency_on_expired_stream () =
   let n = 10_000 in
   let pd = Pd.create ~gc:true ~power:p2 ~machines:2 () in
@@ -433,11 +434,10 @@ let test_gc_flat_residency_on_expired_stream () =
   let m = Pd.mem pd in
   Alcotest.(check bool) "live intervals flat" true (m.live_intervals <= 4);
   Alcotest.(check bool) "live high-water flat" true (m.max_live_intervals <= 4);
-  Alcotest.(check bool) "table entries flat" true (m.table_entries <= 8);
-  Alcotest.(check bool) "table high-water flat" true (m.max_table_entries <= 8);
+  Alcotest.(check int) "no table entries" 0 m.table_entries;
+  Alcotest.(check int) "no table high-water" 0 m.max_table_entries;
   Alcotest.(check bool) "everything flushed" true
     (m.flushed_intervals >= n - 4);
-  Alcotest.(check bool) "everything evicted" true (m.evicted_jobs >= n - 4);
   (* flushing loses nothing: every accepted job still has its one slice
      in the assembled schedule *)
   Alcotest.(check int) "schedule covers the whole history" n
@@ -885,7 +885,9 @@ let prop_framework_instantiation_matches_pd =
 
 (* The gc'd full-history operations fail with the documented typed error
    (the former bare Invalid_argument), and the _result variants report
-   how much history is gone. *)
+   how much history is gone.  A gc state keeps no multipliers or
+   acceptance list either: [lambdas] and [accepted] raise the same
+   error. *)
 let test_gc_history_typed_error () =
   let pd = Pd.create ~gc:true ~power:p2 ~machines:1 () in
   for i = 0 to 99 do
@@ -899,8 +901,20 @@ let test_gc_history_typed_error () =
   | Error e ->
     Alcotest.(check string) "operation" "Pd.certificate" e.operation;
     Alcotest.(check int) "flushed count" m.flushed_intervals
-      e.flushed_intervals;
-    Alcotest.(check int) "evicted count" m.evicted_jobs e.evicted_jobs);
+      e.flushed_intervals);
+  let raises_history name operation f =
+    match f () with
+    | _ -> Alcotest.failf "%s succeeded on a gc state" name
+    | exception Pd.Bounded_memory e ->
+      Alcotest.(check string) (name ^ " operation") operation e.operation
+  in
+  raises_history "lambdas" "Pd.lambdas" (fun () -> ignore (Pd.lambdas pd));
+  let framed = framework_pd ~gc:true ~power:p2 ~machines:1 in
+  ignore (FCore.arrive framed (mk_job ~id:0 ~r:0.0 ~d:1.0 ~w:0.5 ~v:50.0 ()));
+  raises_history "framework accepted" "Pd.accepted" (fun () ->
+      ignore (FCore.accepted framed));
+  Alcotest.(check (list int)) "rejected still reported" []
+    (FCore.rejected framed);
   (match Pd.snapshot_result pd with
   | Ok _ -> Alcotest.fail "snapshot_result succeeded on a gc state"
   | Error e ->

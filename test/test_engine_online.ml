@@ -7,6 +7,8 @@ open Speedscale_model
 module Online = Speedscale_engine.Online
 module Driver = Speedscale_sim.Driver
 module Oa_engine = Speedscale_single.Oa_engine
+module Pd = Speedscale_core.Pd
+module Npd = Speedscale_core.Npd
 
 let p3 = Power.make 3.0
 
@@ -363,7 +365,108 @@ let test_restore_errors () =
     (Failure "Online.restore: unknown engine \"yds\"") (fun () ->
       ignore
         (Online.restore
-           "online-snapshot v1\nengine yds\nalpha 3\nmachines 1\n"))
+           "online-snapshot v1\nengine yds\nalpha 3\nmachines 1\n"));
+  (* every malformed snapshot is a line-numbered Failure, never a bare
+     Invalid_argument from the layer below *)
+  let header = "online-snapshot v1\nengine pd\nalpha 3\nmachines 1\n" in
+  List.iter
+    (fun (name, body, msg) ->
+      Alcotest.check_raises name (Failure ("Online.restore: " ^ msg))
+        (fun () -> ignore (Online.restore body)))
+    [
+      ( "alpha 0.5",
+        "online-snapshot v1\nengine pd\nalpha 0.5\nmachines 1\n",
+        "line 3: Power.make: alpha must be finite > 1: 0.5" );
+      ( "machines 0",
+        "online-snapshot v1\nengine pd\nalpha 3\nmachines 0\n",
+        "line 4: machines must be >= 1, got 0" );
+      ( "deadline not after release",
+        header ^ "job 0 2 1 1 inf\n",
+        "line 5: Job.make(id=0): deadline must be finite > release" );
+      ( "repeated id",
+        header ^ "job 0 0 1 1 inf\njob 0 1 2 1 inf\n",
+        "line 6: job id 0 does not exceed the previous id 0" );
+      ( "ids not increasing",
+        header ^ "job 3 0 1 1 inf\njob 2 1 2 1 inf\n",
+        "line 6: job id 2 does not exceed the previous id 3" );
+      ( "released before the previous job",
+        header ^ "job 0 1 2 1 inf\njob 1 0 2 1 inf\n",
+        "line 6: job 1 released at 0, before the previous release 1" );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The arrival contract at its boundaries                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every layer that takes arrivals enforces Arrival_order: ids strictly
+   increase, releases never decrease.  After a job with id 5 released at
+   2, the next job's release sits just below, at and above 2, and its id
+   at, below and above 5; only a release >= 2 with an id > 5 is
+   admitted.  A refused job must leave the state as it was, so each
+   case then feeds a good job. *)
+let contract_cases =
+  [
+    ("release just below", 6, Float.pred 2.0, false);
+    ("release equal", 6, 2.0, true);
+    ("release above", 6, 2.5, true);
+    ("id equal", 5, 2.0, false);
+    ("id below", 4, 2.0, false);
+    ("id above", 6, 2.0, true);
+  ]
+
+(* A fresh arrival function for every engine layer: each registry
+   engine through Online, and Pd/Npd directly with gc on and off. *)
+let contract_layers =
+  let p = Online.params ~power:p3 ~machines:1 () in
+  List.map
+    (fun e ->
+      ( "online " ^ Online.name e,
+        fun () ->
+          let t = Online.start e p in
+          fun j -> ignore (Online.arrive t j) ))
+    Online.all
+  @ List.concat_map
+      (fun gc ->
+        let tag = if gc then " gc" else "" in
+        [
+          ( "pd" ^ tag,
+            fun () ->
+              let t = Pd.create ~gc ~power:p3 ~machines:1 () in
+              fun j -> ignore (Pd.arrive t j) );
+          ( "npd" ^ tag,
+            fun () ->
+              let t = Npd.create ~gc ~power:p3 ~machines:1 () in
+              fun j -> ignore (Npd.arrive t j) );
+        ])
+      [ false; true ]
+
+let test_arrival_contract () =
+  List.iter
+    (fun (layer, fresh) ->
+      List.iter
+        (fun (case, id, r, admitted) ->
+          let name = layer ^ ", " ^ case in
+          let arrive = fresh () in
+          arrive (mk_job ~id:5 ~r:2.0 ~d:3.0 ~w:0.5 ~v:10.0);
+          let next = mk_job ~id ~r ~d:4.0 ~w:0.5 ~v:10.0 in
+          (match arrive next with
+          | () -> Alcotest.(check bool) (name ^ " admitted") admitted true
+          | exception Invalid_argument _ ->
+            Alcotest.(check bool) (name ^ " admitted") admitted false);
+          arrive (mk_job ~id:7 ~r:2.5 ~d:4.0 ~w:0.5 ~v:10.0))
+        contract_cases)
+    contract_layers;
+  (* an id is never reusable, not even after its twin's window has long
+     expired and a gc state has flushed it *)
+  List.iter
+    (fun (layer, fresh) ->
+      let arrive = fresh () in
+      arrive (mk_job ~id:0 ~r:0.0 ~d:0.5 ~w:0.5 ~v:10.0);
+      arrive (mk_job ~id:1 ~r:10.0 ~d:11.0 ~w:0.5 ~v:10.0);
+      match arrive (mk_job ~id:0 ~r:20.0 ~d:21.0 ~w:0.5 ~v:10.0) with
+      | () -> Alcotest.failf "%s: expired id 0 admitted again" layer
+      | exception Invalid_argument _ -> ())
+    contract_layers
 
 (* ------------------------------------------------------------------ *)
 (* clip_slices sliver regression                                        *)
@@ -417,4 +520,9 @@ let () =
         ] );
       ( "clipping",
         [ Alcotest.test_case "sliver regression" `Quick test_clip_slivers ] );
+      ( "contract",
+        [
+          Alcotest.test_case "arrival order boundaries" `Quick
+            test_arrival_contract;
+        ] );
     ]
